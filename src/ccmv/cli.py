@@ -73,7 +73,7 @@ def _load_spec(args) -> ProblemSpec:
     raise CcmvError("one of --spec or --returns is required")
 
 
-def _emit(args, text: str, default_name: str) -> None:
+def _emit(args, text: str) -> None:
     if args.out:
         Path(args.out).write_text(text)
         log.info("wrote %s", args.out)
@@ -84,7 +84,7 @@ def _emit(args, text: str, default_name: str) -> None:
 def cmd_solve(args) -> int:
     spec = _load_spec(args)
     sol = _solve_one(spec, args.solver, _solver_config(args))
-    _emit(args, solution_to_json(sol), "solution.json")
+    _emit(args, solution_to_json(sol))
     if args.emit == "csv" and args.out:
         write_trace_csv(Path(args.out).with_suffix(".trace.csv"), sol)
     return EXIT_OK if sol.status == STATUS_CONVERGED else EXIT_ITERATION_CAPPED
@@ -99,7 +99,7 @@ def cmd_backtest(args) -> int:
     cfg = BacktestConfig(window=args.window, tau=args.tau, k=args.k,
                          solver_kind=args.solver, solver_cfg=_solver_config(args))
     report = rolling_horizon(returns, cfg)
-    _emit(args, json.dumps(report.to_dict(), indent=2) + "\n", "backtest.json")
+    _emit(args, json.dumps(report.to_dict(), indent=2) + "\n")
     if args.emit == "csv" and args.out:
         write_weights_csv(Path(args.out).with_suffix(".weights.csv"),
                           report.weights_by_window, returns.tickers)
@@ -155,7 +155,7 @@ def cmd_compare(args) -> int:
                 row["sharpe_gap"] = gap(row["sharpe"], ref["sharpe"])
             rows.append(row)
 
-    _emit(args, json.dumps(rows, indent=2) + "\n", "compare.json")
+    _emit(args, json.dumps(rows, indent=2) + "\n")
     if args.emit == "csv" and args.out:
         _write_rows_csv(Path(args.out).with_suffix(".csv"), rows)
     return EXIT_OK
@@ -193,7 +193,7 @@ def cmd_bench(args) -> int:
     lines = ["n,k,solver,time,log10_time,objective,status"]
     lines += [f'{r["n"]},{r["k"]},{r["solver"]},{r["time"]!r},{r["log10_time"]!r},'
               f'{r["objective"]!r},{r["status"]}' for r in rows]
-    _emit(args, "\n".join(lines) + "\n", "bench.csv")
+    _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 

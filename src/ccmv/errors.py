@@ -41,10 +41,6 @@ class BadConfig(CcmvError):
     """A SolverConfig invariant is violated."""
 
 
-class EigenFailed(CcmvError):
-    """Power iteration failed to converge."""
-
-
 class NumericalBreakdown(CcmvError):
     """A factorization failed unexpectedly."""
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .errors import (
     AsymmetricA,
@@ -21,7 +22,6 @@ from .errors import (
     BadConfig,
     BadK,
     BadTau,
-    EigenFailed,
     InsufficientData,
     NotPSD,
 )
@@ -205,6 +205,8 @@ class Solution:
             "status": self.status,
             "trace": [r.to_dict() for r in self.trace],
             "solver": self.solver,
+            "wall_time": float(self.wall_time),
+            "upsilon": None if np.isnan(self.upsilon) else float(self.upsilon),
         }
         if self.safeguard_resets:
             d["safeguard_resets"] = self.safeguard_resets
@@ -237,40 +239,11 @@ def validate_problem(spec: ProblemSpec) -> None:
         raise BadK(f"k must lie in [1, {spec.n}], got {spec.k}")
 
 
-def max_eigenvalue(A: np.ndarray, tol: float = 1e-8, max_iter: int = 50000) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix by power iteration.
-
-    Stops on the eigen-residual ||Av - lam*v|| <= tol*lam, which bounds the
-    eigenvalue error for symmetric matrices. Starts from the all-ones
-    direction; if a random Rayleigh probe beats the converged estimate (start
-    nearly orthogonal to the top eigenvector), restarts from that probe.
-    """
+def max_eigenvalue(A: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric matrix, by one LAPACK call."""
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
-    if n == 1:
-        return float(A[0, 0])
-
-    def _power(v0: np.ndarray) -> float:
-        v = v0 / np.linalg.norm(v0)
-        for _ in range(max_iter):
-            w = A @ v
-            lam = float(v @ w)
-            if np.linalg.norm(w - lam * v) <= tol * max(lam, 0.0) + 1e-300:
-                return lam
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                return 0.0
-            v = w / nw
-        raise EigenFailed(f"power iteration did not converge in {max_iter} steps")
-
-    lam = _power(np.ones(n))
-    rng = np.random.default_rng(0)
-    for _ in range(3):
-        probe = rng.standard_normal(n)
-        rq = float(probe @ (A @ probe) / (probe @ probe))
-        if rq > lam * (1.0 + tol) + tol:
-            lam = max(lam, _power(probe))
-    return lam
+    return float(eigh(A, eigvals_only=True, subset_by_index=[n - 1, n - 1])[0])
 
 
 def make_feasible_point(spec: ProblemSpec) -> np.ndarray:

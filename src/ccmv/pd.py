@@ -2,13 +2,14 @@
 
 Inner loop: block coordinate descent alternating a closed-form solve over the
 budget hyperplane {e'x = 1} with a clamp-and-keep-top-k thresholding step.
-Outer loop: geometric penalty growth with a level-set safeguard, followed by
-an exact polish on the discovered support and a KKT certificate.
+Outer loop: geometric penalty growth with a level-set safeguard. The
+discovered support is then polished by a finite primal active-set solve of
+the convex QP restricted to it (exact for any support size), and the result
+carries a KKT certificate.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import time
 from dataclasses import dataclass
@@ -41,8 +42,11 @@ ACTIVE_TOL = 1e-10
 # before we declare a bug.
 MONOTONE_TOL = 1e-9
 
-# Supports larger than this fall back to projected gradient in polish_support.
-POLISH_ENUM_LIMIT = 25
+EPS = float(np.finfo(float).eps)
+
+# Iteration guard of polish_support: each active-set step adds or drops one
+# coordinate, and in practice it ends within a few passes over the support.
+POLISH_STEPS_PER_ASSET = 50
 
 
 @dataclass
@@ -148,55 +152,73 @@ def bcd_inner(
     return x, y, iterations, q_trace, converged
 
 
-def _restricted_candidates(spec: ProblemSpec, support):
-    """Yield (x, objective, beta, pattern) for every free-pattern within support.
-
-    Each pattern fixes some coordinates of the support to zero and solves the
-    equality-constrained system on the rest. Singular patterns are skipped.
-    """
-    support = tuple(sorted(support))
-    for r in range(len(support), 0, -1):
-        for pattern in itertools.combinations(support, r):
-            idx = np.array(pattern)
-            m = idx.size
-            K = np.zeros((m + 1, m + 1))
-            K[:m, :m] = 2.0 * spec.A[np.ix_(idx, idx)]
-            K[:m, m] = 1.0
-            K[m, :m] = 1.0
-            rhs = np.append(spec.tau * spec.mu[idx], 1.0)
-            try:
-                sol = np.linalg.solve(K, rhs)
-            except np.linalg.LinAlgError:
-                log.debug("singular pattern %s skipped", pattern)
-                continue
-            xs, beta = sol[:m], float(sol[m])
-            if xs.min() < -1e-12:
-                continue
-            x = np.zeros(spec.n)
-            x[idx] = np.maximum(xs, 0.0)
-            x[idx] += (1.0 - x.sum()) / m
-            yield x, objective_f(spec, x), beta, pattern
-
-
 def polish_support(spec: ProblemSpec, support) -> tuple[np.ndarray, float]:
     """Exact solve of the problem restricted to a support: zeros stay hard zeros.
 
-    Enumerates zero-patterns within the support (global for this convex
-    restriction); falls back to projected gradient when the support is too
-    large to enumerate.
+    Primal active-set method (Lawson-Hanson style) for
+    min x'A_S x - tau*mu_S'x over {e'x = 1, x >= 0}. Starts at the best
+    single-asset vertex (ties: lowest index) and keeps a free set F. Each step
+    minimizes over the face {x_i = 0 off F}: a step blocked by a bound moves to
+    it and drops that coordinate; at a face minimizer, the zero coordinate with
+    the most negative multiplier g_i + beta is released. It stops when none is
+    negative, which is the KKT system of this convex problem, so the result is
+    its global minimum. A face with a zero-curvature direction (duplicate
+    assets, rank-deficient A_S) is crossed along it to the first blocking
+    bound. Every step is polynomial in |S|, for any support size.
     """
     support = tuple(sorted(int(i) for i in support))
     if not support:
         raise BadSupport("empty support")
-    if len(support) > POLISH_ENUM_LIMIT:
-        return _polish_projected_gradient(spec, support)
-    best_x, best_f = None, np.inf
-    for x, fx, _beta, _pat in _restricted_candidates(spec, support):
-        if fx < best_f - 1e-15 or best_x is None:
-            best_x, best_f = x, fx
-    if best_x is None:  # pragma: no cover - the full pattern is always solvable
-        raise NumericalBreakdown(f"no feasible pattern within support {support}")
-    return best_x, best_f
+    idx = np.array(support)
+    m = idx.size
+    H = 2.0 * spec.A[np.ix_(idx, idx)]
+    c = spec.tau * spec.mu[idx]
+    h_scale = float(np.abs(H).max())
+    # round-off level of the gradient and of the reduced Hessian's eigenvalues
+    g_tol = 64.0 * m * EPS * (1.0 + h_scale + float(np.abs(c).max()))
+    curv_tol = 64.0 * m * EPS * h_scale
+    z = np.zeros(m)
+    z[int(np.argmin(0.5 * np.diag(H) - c))] = 1.0
+    free = z > 0.0
+    at_face_min = True
+    for _ in range(POLISH_STEPS_PER_ASSET * m):
+        g = H @ z - c
+        if at_face_min:
+            lam = g - g[free].mean()  # g_i + beta, with beta from g_F + beta*e = 0
+            lam[free] = 0.0
+            i = int(np.argmin(lam))
+            if lam[i] >= -g_tol:
+                break
+            free[i] = True
+        F = np.flatnonzero(free)
+        Z = np.linalg.qr(np.ones((F.size, 1)), mode="complete")[0][:, 1:]  # basis of e'p = 0
+        w, V = np.linalg.eigh(Z.T @ H[np.ix_(F, F)] @ Z)
+        a = V.T @ (Z.T @ g[F])
+        flat = w <= curv_tol
+        if np.abs(a[flat]).max(initial=0.0) > g_tol:
+            # zero-curvature descent: f falls linearly along p until a bound blocks
+            p = -Z @ (V[:, flat] @ a[flat])
+            full = np.inf
+        else:
+            p = -Z @ (V[:, ~flat] @ (a[~flat] / w[~flat]))  # Newton step to the face minimizer
+            full = 1.0
+        neg = np.flatnonzero(p < 0.0)
+        ratios = z[F[neg]] / -p[neg]
+        blocked = ratios.size > 0 and ratios.min() < full
+        alpha = ratios.min() if blocked else full
+        z[F] = np.maximum(z[F] + alpha * p, 0.0)
+        if blocked:
+            j = F[neg[int(np.argmin(ratios))]]
+            z[j] = 0.0
+            free[j] = False
+        at_face_min = not blocked
+    else:
+        raise NumericalBreakdown(f"active-set polish did not terminate on support {support}")
+    x = np.zeros(spec.n)
+    x[idx] = z
+    pos = idx[z > 0.0]
+    x[pos] += (1.0 - x.sum()) / pos.size
+    return x, objective_f(spec, x)
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
@@ -207,21 +229,6 @@ def _project_simplex(v: np.ndarray) -> np.ndarray:
     rho = np.count_nonzero(u - css / ind > 0)
     theta = css[rho - 1] / rho
     return np.maximum(v - theta, 0.0)
-
-
-def _polish_projected_gradient(spec: ProblemSpec, support, iters: int = 500):
-    idx = np.array(support)
-    As = spec.A[np.ix_(idx, idx)]
-    mus = spec.mu[idx]
-    L = 2.0 * max_eigenvalue(As) + 1e-12
-    z = np.full(idx.size, 1.0 / idx.size)
-    step = 1.0 / L
-    for _ in range(iters):
-        g = 2.0 * (As @ z) - spec.tau * mus
-        z = _project_simplex(z - step * g)
-    x = np.zeros(spec.n)
-    x[idx] = z
-    return x, objective_f(spec, x)
 
 
 def kkt_check(spec: ProblemSpec, x: np.ndarray, support) -> KktCertificate:

@@ -114,6 +114,8 @@ def solution_from_dict(raw: dict) -> Solution:
         trace=trace,
         solver=raw.get("solver", ""),
         safeguard_resets=int(raw.get("safeguard_resets", 0)),
+        wall_time=float(raw.get("wall_time", 0.0)),
+        upsilon=float("nan") if raw.get("upsilon") is None else float(raw["upsilon"]),
     )
 
 

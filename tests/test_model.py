@@ -22,6 +22,7 @@ from ccmv.errors import (
     InsufficientData,
     NotPSD,
 )
+from ccmv.synthetic import factor_model_instance
 
 
 class TestReturnsMatrix:
@@ -129,6 +130,12 @@ class TestMaxEigenvalue:
         v = np.array([1.0, -1.0]) / np.sqrt(2)
         A = 5.0 * np.outer(v, v) + np.eye(2)
         assert max_eigenvalue(A) == pytest.approx(6.0, rel=1e-6)
+
+    def test_nearly_tied_top_eigenvalues(self):
+        # the top two eigenvalues differ by a relative 1.6e-4, which power
+        # iteration needs about 113k steps to resolve
+        A = factor_model_instance(1000, 10, seed=9800002).A
+        assert max_eigenvalue(A) == pytest.approx(np.linalg.eigvalsh(A)[-1], rel=1e-12)
 
 
 class TestMakeFeasiblePoint:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccmv import (
     ProblemSpec,
     SolverConfig,
+    make_feasible_point,
     STATUS_CONVERGED,
     bcd_inner,
     brute_force_solve,
@@ -16,9 +18,10 @@ from ccmv import (
     x_step,
     y_step,
 )
-from ccmv.errors import BadSupport
+from ccmv.errors import BadSupport, NumericalBreakdown
+from ccmv.oracle import restricted_qp_solve
 from ccmv.pd import _project_simplex, dense_simplex_minimizer
-from ccmv.synthetic import random_psd_instance
+from ccmv.synthetic import factor_model_instance, random_psd_instance
 
 from conftest import assert_feasible
 
@@ -187,8 +190,13 @@ class TestPolishSupport:
         with pytest.raises(BadSupport):
             polish_support(toy_spec, ())
 
+    def test_iteration_guard_raises(self, monkeypatch):
+        import ccmv.pd
+        monkeypatch.setattr(ccmv.pd, "POLISH_STEPS_PER_ASSET", 0)
+        with pytest.raises(NumericalBreakdown):
+            polish_support(random_psd_instance(n=5, k=5, seed=0), range(5))
+
     def test_matches_oracle_restricted(self):
-        from ccmv.oracle import restricted_qp_solve
         for seed in range(20):
             spec = random_psd_instance(n=7, k=3, seed=seed)
             support = tuple(np.random.default_rng(seed).choice(7, size=3, replace=False))
@@ -196,14 +204,61 @@ class TestPolishSupport:
             xo, fo = restricted_qp_solve(spec, support)
             assert fp == pytest.approx(fo, abs=1e-8)
 
-    def test_large_support_gradient_fallback(self):
+    def test_full_support_below_dense_reference(self):
         spec = random_psd_instance(n=30, k=30, seed=2)
         x, obj = polish_support(spec, tuple(range(30)))
         assert abs(x.sum() - 1.0) <= 1e-8
         assert x.min() >= 0.0
-        # fallback should still land close to the dense simplex optimum
         x_ref = dense_simplex_minimizer(spec, iters=5000)
         assert obj <= objective_f(spec, x_ref) + 1e-6
+
+    @pytest.mark.parametrize("spec", [
+        random_psd_instance(n=30, k=30, seed=2),
+        random_psd_instance(n=60, k=60, seed=2),
+        factor_model_instance(n=226, k=26, seed=0),
+    ], ids=["psd30-full", "psd60-full", "factor226-top26mu"])
+    def test_large_support_kkt_certified(self, spec):
+        support = tuple(int(i) for i in np.flatnonzero(make_feasible_point(spec)))
+        x, _ = polish_support(spec, support)
+        assert_feasible(spec, x, support)
+        assert kkt_check(spec, x, support).max_residual <= 1e-8
+
+
+@st.composite
+def degenerate_restricted_qps(draw):
+    """A small instance with one of the degenerate structures, plus a support."""
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["rank-deficient", "duplicate", "tied-mu", "generic"]))
+    tau = 10.0 ** draw(st.floats(-6.0, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.integers(1, n)) if kind != "generic" else n
+    scale = 10.0 ** draw(st.sampled_from([-2.0, 0.0]))  # -2: monthly-return volatilities
+    G = scale * rng.standard_normal((n, rank))
+    mu = rng.uniform(0.0, 0.2, size=n)
+    if kind == "duplicate" and n >= 2:
+        G[-1] = G[0]
+        mu[-1] = mu[0]
+    if kind == "tied-mu":
+        mu[:] = mu[0]
+    A = G @ G.T / rank  # no ridge: rank-deficient whenever rank < n
+    spec = ProblemSpec(0.5 * (A + A.T), mu, tau=tau, k=n)
+    size = draw(st.sampled_from([1, n, draw(st.integers(1, n))]))
+    support = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+    return spec, support
+
+
+class TestPolishSupportProperty:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(degenerate_restricted_qps())
+    def test_matches_oracle_on_degenerate_inputs(self, case):
+        spec, support = case
+        x, fx = polish_support(spec, support)
+        _, f_ref = restricted_qp_solve(spec, support)
+        assert abs(fx - f_ref) <= 1e-9 * (1.0 + abs(f_ref))
+        assert fx == objective_f(spec, x)
+        assert x.min() >= 0.0
+        assert_feasible(spec, x, support, k=len(support))
+        assert kkt_check(spec, x, support).max_residual <= 1e-8
 
 
 class TestProjectSimplex:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ccmv import ReturnsMatrix, ccmv_pd_solve
+from ccmv import ReturnsMatrix, brute_force_solve, ccmv_padm_solve, ccmv_pd_solve
 from ccmv.errors import BadData
 from ccmv.serialize import (
     read_problem_json,
@@ -97,6 +97,20 @@ class TestSolutionJson:
         assert back.solver == "pd"
         assert len(back.trace) == len(sol.trace)
         assert back.kkt.beta == pytest.approx(sol.kkt.beta)
+        assert back.wall_time == sol.wall_time > 0.0
+        assert back.upsilon == sol.upsilon
+
+    @pytest.mark.parametrize("solve", [
+        ccmv_padm_solve,
+        lambda spec: brute_force_solve(spec).to_solution(),
+    ], ids=["padm", "oracle"])
+    def test_nan_upsilon_written_as_null(self, solve):
+        sol = solve(random_psd_instance(n=5, k=2, seed=7))
+        text = solution_to_json(sol)
+        assert json.loads(text)["upsilon"] is None
+        back = solution_from_dict(json.loads(text))
+        assert np.isnan(back.upsilon)
+        assert back.wall_time == sol.wall_time
 
     def test_oracle_solution_without_kkt(self):
         raw = {"weights": [1.0, 0.0], "support": [0], "objective": 0.5,
