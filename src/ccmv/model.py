@@ -223,8 +223,12 @@ def estimate_moments(returns: ReturnsMatrix) -> MomentEstimate:
     return MomentEstimate(mu=mu, A=A)
 
 
-def validate_problem(spec: ProblemSpec) -> None:
-    """Raise the named InvalidSpec subclass on the first violated invariant."""
+def validate_problem(spec: ProblemSpec) -> float:
+    """Raise the named InvalidSpec subclass on the first violated invariant.
+
+    Returns lambda_max(A) (clamped at 0) from the eigenvalues the PSD test
+    computes, so a solver needs no second spectral solve.
+    """
     A = spec.A
     scale = max(1.0, float(np.abs(A).max()))
     if np.abs(A - A.T).max() > SYM_TOL * scale:
@@ -237,6 +241,7 @@ def validate_problem(spec: ProblemSpec) -> None:
         raise BadTau(f"tau must be positive, got {spec.tau}")
     if not 1 <= spec.k <= spec.n:
         raise BadK(f"k must lie in [1, {spec.n}], got {spec.k}")
+    return float(lam_max)
 
 
 def max_eigenvalue(A: np.ndarray) -> float:

@@ -2,13 +2,12 @@
 
 Same outer penalty schedule as the main solver, but the inner block steps
 minimize f(x) + rho*||x - y||_1: the x-block over the simplex (iterative, no
-closed form) and the y-block over {e'y = 1, ||y||_0 <= k} (support selection
-plus a single-coordinate mass shift).
+closed form) and the y-block over {e'y = 1, ||y||_0 <= k} (exact closed form:
+a sort, a prefix-sum choice of support, a single-coordinate mass shift).
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import time
 
@@ -30,9 +29,6 @@ from .pd import _project_simplex, _relative_change, kkt_check, polish_support
 
 log = logging.getLogger("ccmv")
 
-# Exhaustive support enumeration in the y-step below this dimension.
-Y_STEP_ENUM_LIMIT = 20
-
 
 def padm_x_step(
     spec: ProblemSpec,
@@ -40,7 +36,6 @@ def padm_x_step(
     y: np.ndarray,
     tol: float = 1e-8,
     x0: np.ndarray | None = None,
-    max_iter: int | None = None,
     lam_max: float | None = None,
 ) -> np.ndarray:
     """Approximate minimizer of f(x) + rho*||x - y||_1 over the simplex.
@@ -53,8 +48,7 @@ def padm_x_step(
     n = spec.n
     if lam_max is None:
         lam_max = max_eigenvalue(spec.A)
-    if max_iter is None:
-        max_iter = max(10 * n, 500)
+    max_iter = max(10 * n, 500)
     gamma = 1.0 / (2.0 * lam_max + 2.0 * rho)
     z = np.full(n, 1.0 / n) if x0 is None else np.asarray(x0, dtype=float).copy()
     x = _project_simplex(z)
@@ -77,61 +71,37 @@ def padm_x_step(
     return _project_simplex(z)
 
 
-def _support_cost(abs_x: np.ndarray, sum_abs: float, x: np.ndarray, S) -> float:
-    idx = list(S)
-    return sum_abs - float(abs_x[idx].sum()) + abs(1.0 - float(x[idx].sum()))
-
-
 def padm_y_step(x: np.ndarray, k: int) -> np.ndarray:
-    """Minimize ||x - y||_1 over {e'y = 1, ||y||_0 <= k}.
+    """Exact minimizer of ||x - y||_1 over {e'y = 1, ||y||_0 <= k}, in O(n log n).
 
-    For a fixed support S the optimum copies x on S and shifts the remaining
-    budget deficit onto one coordinate, at cost
-    sum_{i not in S}|x_i| + |1 - sum_{i in S} x_i|. The support is chosen
-    exhaustively for small n, otherwise by top-k-|x| plus one-swap descent.
+    For a fixed support S the optimum copies x on S and shifts the budget
+    deficit onto one coordinate (the largest |x_i| kept; ties: lowest index),
+    at cost sum|x| + max(1 - 2p, -1 - 2m), where p sums the positive entries
+    kept and m the magnitudes of the nonpositive ones. The cost falls as p and
+    m grow, so the best S holds the a largest positives and the k - a
+    nonpositives of largest magnitude (ties: lowest index); the split a is
+    chosen over the prefix sums, ties going to more positives, which is plain
+    top-k on simplex inputs.
     """
     x = np.asarray(x, dtype=float)
     n = x.size
     k = min(k, n)
-    abs_x = np.abs(x)
-    sum_abs = float(abs_x.sum())
-
-    if n <= Y_STEP_ENUM_LIMIT:
-        best_S, best_c = None, np.inf
-        for S in itertools.combinations(range(n), k):
-            c = _support_cost(abs_x, sum_abs, x, S)
-            if c < best_c - 1e-15:
-                best_S, best_c = S, c
-        S = list(best_S)
-    else:
-        order = np.lexsort((np.arange(n), -abs_x))
-        S = sorted(order[:k].tolist())
-        in_S = np.zeros(n, dtype=bool)
-        in_S[S] = True
-        cost = _support_cost(abs_x, sum_abs, x, S)
-        improved = True
-        while improved:
-            improved = False
-            outside = np.flatnonzero(~in_S)
-            for i in list(S):
-                for j in outside:
-                    cand = [a for a in S if a != i] + [int(j)]
-                    c = _support_cost(abs_x, sum_abs, x, cand)
-                    if c < cost - 1e-12:
-                        in_S[i], in_S[j] = False, True
-                        S = sorted(cand)
-                        cost = c
-                        improved = True
-                        break
-                if improved:
-                    break
+    pos = np.flatnonzero(x > 0.0)
+    pos = pos[np.lexsort((pos, -x[pos]))]
+    neg = np.flatnonzero(x <= 0.0)
+    neg = neg[np.lexsort((neg, x[neg]))]
+    p = np.concatenate(([0.0], np.cumsum(x[pos])))
+    m = np.concatenate(([0.0], np.cumsum(-x[neg])))
+    splits = np.arange(min(k, pos.size), max(0, k - neg.size) - 1, -1)  # most positives first
+    cost = np.maximum(1.0 - 2.0 * p[splits], -1.0 - 2.0 * m[k - splits])
+    a = int(splits[np.argmin(cost)])
+    S = np.concatenate((pos[:a], neg[: k - a]))
 
     y = np.zeros(n)
     y[S] = x[S]
     delta = 1.0 - float(y.sum())
     if delta != 0.0:
-        pick = min(S, key=lambda i: (-abs_x[i], i))
-        y[pick] += delta
+        y[S[np.lexsort((S, -np.abs(x[S])))[0]]] += delta  # largest |x_i|, lowest index
     return y
 
 
@@ -139,11 +109,10 @@ def ccmv_padm_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solut
     """Outer penalty schedule around the l1 block steps; polish and certify."""
     t0 = time.perf_counter()
     cfg = cfg or SolverConfig()
-    validate_problem(spec)
+    lam_max = validate_problem(spec)
 
     from .pd import dense_simplex_minimizer
 
-    lam_max = max_eigenvalue(spec.A)
     rho = cfg.rho0
     x_feas = make_feasible_point(spec)
     x = dense_simplex_minimizer(spec, lam_max=lam_max)

@@ -79,7 +79,9 @@ def build_factorization(spec: ProblemSpec, rho: float) -> PenaltyFactorization:
 
 def x_step(fact: PenaltyFactorization, spec: ProblemSpec, y: np.ndarray) -> np.ndarray:
     """Unique minimizer of q_rho(., y) over {e'x = 1}, in closed form."""
-    u = fact.t + cho_solve(fact.chol, 2.0 * fact.rho * np.asarray(y, dtype=float))
+    # the factor was checked once by cho_factor; skip the per-step finiteness scan
+    u = fact.t + cho_solve(fact.chol, 2.0 * fact.rho * np.asarray(y, dtype=float),
+                           check_finite=False)
     beta_term = (1.0 - 0.5 * float(np.sum(u))) / (0.5 * fact.ets)
     x = 0.5 * (u + beta_term * fact.s)
     # pin e'x = 1 against round-off
@@ -222,7 +224,12 @@ def polish_support(spec: ProblemSpec, support) -> tuple[np.ndarray, float]:
 
 
 def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x = 1} (sort-based)."""
+    """Euclidean projection onto {x >= 0, sum x = 1} (sort-based).
+
+    v is first shifted by -max(v), which leaves the projection unchanged;
+    otherwise a huge top entry cancels in u - css/ind and the result is 0.
+    """
+    v = v - v.max()
     u = np.sort(v)[::-1]
     css = np.cumsum(u) - 1.0
     ind = np.arange(1, v.size + 1)
@@ -296,10 +303,9 @@ def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solutio
     """Full penalty-decomposition solve: schedule, safeguard, polish, certify."""
     t0 = time.perf_counter()
     cfg = cfg or SolverConfig()
-    validate_problem(spec)
+    lam_max = validate_problem(spec)
 
     trace: list[OuterRecord] = []
-    lam_max = max_eigenvalue(spec.A)
     rho = cfg.rho0
     rho_floor = lam_max + 1.0
     raised_note = ""

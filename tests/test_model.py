@@ -22,7 +22,7 @@ from ccmv.errors import (
     InsufficientData,
     NotPSD,
 )
-from ccmv.synthetic import factor_model_instance
+from ccmv.synthetic import factor_model_instance, monthly_returns_instance
 
 
 class TestReturnsMatrix:
@@ -89,6 +89,13 @@ class TestValidateProblem:
     def test_bad_tau(self):
         with pytest.raises(BadTau):
             validate_problem(ProblemSpec(np.eye(2), np.zeros(2), tau=0.0, k=1))
+
+    @pytest.mark.parametrize("spec", [
+        factor_model_instance(226, 10, seed=0),
+        monthly_returns_instance(100, 10, seed=0),  # rank-deficient
+    ], ids=["factor-226", "monthly-100"])
+    def test_returns_top_eigenvalue(self, spec):
+        assert validate_problem(spec) == np.linalg.eigvalsh(spec.A)[-1]
 
 
 class TestSolverConfig:

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccmv import (
     ProblemSpec,
@@ -92,6 +93,25 @@ def y_step_oracle(x, k):
     return best
 
 
+@st.composite
+def y_step_inputs(draw):
+    """(x, k) for n <= 9 with ties, exact zeros, all-negative and simplex vectors."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, n))  # shrinks toward k = 1 and also draws k = n
+    kind = draw(st.sampled_from(["ties-and-zeros", "negative", "simplex", "generic"]))
+    if kind == "ties-and-zeros":
+        palette = st.sampled_from([-2.0, -1.5, -0.5, 0.0, 0.0, 0.25, 0.5, 1.0, 2.0])
+        x = np.array(draw(st.lists(palette, min_size=n, max_size=n)))
+    else:
+        x = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+        if kind == "negative":
+            x = -np.abs(x)
+        elif kind == "simplex":
+            x = np.abs(x) + 1e-3
+            x /= x.sum()
+    return x, k
+
+
 class TestPadmXStep:
     def test_degenerate_rho_zero_symmetric(self):
         spec = ProblemSpec(np.eye(2), np.zeros(2), tau=1e-300, k=2)
@@ -156,8 +176,7 @@ class TestPadmYStep:
             y = padm_y_step(x, k)
             assert y_step_cost(x, y) == pytest.approx(y_step_oracle(x, k), abs=1e-12)
 
-    def test_local_search_path_feasible(self):
-        # n above the exhaustive-enumeration limit exercises the swap search
+    def test_wide_input_feasible_and_no_worse_than_top_k(self):
         rng = np.random.default_rng(79)
         x = rng.normal(size=40)
         y = padm_y_step(x, 5)
@@ -169,6 +188,25 @@ class TestPadmYStep:
         y0[order] = x[order]
         y0[order[0]] += 1.0 - y0.sum()
         assert y_step_cost(x, y) <= y_step_cost(x, y0) + 1e-12
+
+    def test_mixed_signs_beyond_twenty_assets(self):
+        # the best pair keeps 3 and -2 (cost 3.5), not the top-|x| pair 3 and 2 (cost 7.5)
+        x = np.concatenate(([-1.0, 3.0, 0.5, 2.0, -2.0], np.zeros(16)))
+        y = padm_y_step(x, 2)
+        expected = np.zeros(21)
+        expected[[1, 4]] = [3.0, -2.0]
+        np.testing.assert_array_equal(y, expected)
+        assert y_step_cost(x, y) == pytest.approx(3.5, abs=1e-12)
+        assert y_step_cost(x, y) == pytest.approx(y_step_oracle(x, 2), abs=1e-12)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(y_step_inputs())
+    def test_property_matches_brute_force(self, case):
+        x, k = case
+        y = padm_y_step(x, k)
+        assert y_step_cost(x, y) == pytest.approx(y_step_oracle(x, k), abs=1e-12)
+        assert y.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.count_nonzero(y) <= k
 
 
 class TestCcmvPadmSolve:

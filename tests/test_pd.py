@@ -279,6 +279,17 @@ class TestProjectSimplex:
                 assert ((v - p) ** 2).sum() <= ((v - q) ** 2).sum() + 1e-9
 
 
+    def test_huge_entry_stays_on_simplex(self):
+        with np.errstate(all="raise"):
+            np.testing.assert_array_equal(_project_simplex(np.array([1e17, 0.0, 0.0])),
+                                          [1.0, 0.0, 0.0])
+
+    def test_dense_minimizer_at_extreme_tau(self):
+        # A = 0 makes the step 1e12, so the projected point carries entries near 1e17
+        spec = ProblemSpec(np.zeros((3, 3)), np.array([0.05, 0.1, 0.02]), tau=1e6, k=2)
+        np.testing.assert_array_equal(dense_simplex_minimizer(spec), [0.0, 1.0, 0.0])
+
+
 class TestKktCheck:
     def test_global_optimum_clean(self, toy_spec):
         cert = kkt_check(toy_spec, np.array([1.0, 0.0, 0.0]), (0,))
