@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import BadConfig, SharpeUndefined, SigmaUndefined
+from .errors import BadConfig, InvalidSpec, SharpeUndefined, SigmaUndefined, TooLarge
 from .model import (
     ProblemSpec,
     ReturnsMatrix,
@@ -110,6 +110,11 @@ def rolling_horizon(
 
     Window t uses rows t-window..t-1 (0-based) and realizes weights against
     row t, so no future row can influence the weights that trade into it.
+
+    A window whose instance the solver rejects (InvalidSpec, or TooLarge from
+    the oracle) carries the previous weights forward and is listed in
+    failed_windows. Any other exception, such as MonotonicityViolation or
+    NumericalBreakdown, is a solver fault and propagates.
     """
     R = returns.values
     T, _n = R.shape
@@ -133,7 +138,7 @@ def rolling_horizon(
         last_spec = spec
         try:
             x_t = np.asarray(solve(spec, cfg.solver_cfg).weights, dtype=float)
-        except Exception as exc:
+        except (InvalidSpec, TooLarge) as exc:
             if x_prev is None:
                 raise
             log.warning("window %d solver failed (%s); carrying weights forward", t, exc)

@@ -45,6 +45,10 @@ class NumericalBreakdown(CcmvError):
     """A factorization failed unexpectedly."""
 
 
+class MeritMismatch(NumericalBreakdown):
+    """The inner-loop merit disagrees with the exact penalty value: a wrong x-step."""
+
+
 class MonotonicityViolation(CcmvError):
     """The inner-loop merit value increased: implementation bug."""
 

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg.lapack import dpotrs
 
-from .errors import BadSupport, MonotonicityViolation, NumericalBreakdown
+from .errors import BadSupport, MeritMismatch, MonotonicityViolation, NumericalBreakdown
 from .model import (
     KktCertificate,
     OuterRecord,
@@ -48,20 +49,67 @@ EPS = float(np.finfo(float).eps)
 # coordinate, and in practice it ends within a few passes over the support.
 POLISH_STEPS_PER_ASSET = 50
 
+# A level caches at most n // CACHE_DIVISOR columns of (A + rho I)^{-1}:
+# solving them costs at most 2n^3 / CACHE_DIVISOR flops, 1.5 times the level's
+# Cholesky (n^3 / 3), and the cache holds at most n^2 / CACHE_DIVISOR floats.
+# A level whose k-sparse support cannot fit (k > n // CACHE_DIVISOR) keeps no
+# cache: a full backsolve then costs at most CACHE_DIVISOR times the cached product.
+CACHE_DIVISOR = 4
+
 
 @dataclass
 class PenaltyFactorization:
-    """Cholesky factor of (A + rho*I) plus the cached solves the x-step reuses."""
+    """Cholesky factor of (A + rho*I) plus the solves the x-steps of one level reuse.
+
+    Besides s and t it caches columns (A + rho I)^{-1} e_i, one per index that
+    has appeared in the support of an x-step's y. They are solved on first use
+    (the missing ones of a call in one batched backsolve) and kept for the
+    level, so a k-sparse y costs O(n*k) once its columns are in. The cache
+    holds at most n // CACHE_DIVISOR columns; cols is None on a level that
+    keeps no cache.
+    """
 
     rho: float
     chol: tuple
     s: np.ndarray      # (A + rho I)^{-1} e
     t: np.ndarray      # (A + rho I)^{-1} (tau * mu)
     ets: float         # e's
+    ett: float         # e't
+    cols: np.ndarray | None  # row j: (A + rho I)^{-1} e_i for the i with slot[i] == j
+    slot: np.ndarray   # row of column i in cols, -1 if not cached
+
+    def support_columns(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """(y_S, rows (A + rho I)^{-1} e_i for i in S) on the support S of y.
+
+        Solves the uncached columns in one batch. Returns None, and caches
+        nothing, on a level without a cache or when they do not fit.
+        """
+        if self.cols is None:
+            return None
+        S = np.flatnonzero(y)
+        missing = S[self.slot[S] < 0]
+        if missing.size:
+            n, m = self.s.size, self.cols.shape[0]
+            if m + missing.size > n // CACHE_DIVISOR:
+                return None
+            E = np.zeros((n, missing.size))
+            E[missing, np.arange(missing.size)] = 1.0
+            self.cols = np.vstack([self.cols, self.solve(E).T])
+            self.slot[missing] = np.arange(m, m + missing.size)
+        return y[S], self.cols[self.slot[S]]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """(A + rho I)^{-1} b by one LAPACK potrs call.
+
+        cho_factor checked the factor once; this skips cho_solve's per-call
+        checks, which cost several times the backsolve itself at small n.
+        """
+        c, lower = self.chol
+        return dpotrs(c, b, lower=lower)[0]
 
 
 def build_factorization(spec: ProblemSpec, rho: float) -> PenaltyFactorization:
-    """Factor (A + rho*I) once per penalty level; each x-step is then one solve."""
+    """Factor (A + rho*I) once per penalty level, with an empty column cache (or none)."""
     n = spec.n
     M = spec.A + rho * np.eye(n)
     try:
@@ -74,15 +122,27 @@ def build_factorization(spec: ProblemSpec, rho: float) -> PenaltyFactorization:
     ets = float(e @ s)
     if ets <= 0:  # pragma: no cover - impossible for SPD matrices
         raise NumericalBreakdown("e'(A+rho I)^{-1}e is not positive")
-    return PenaltyFactorization(rho=float(rho), chol=chol, s=s, t=t, ets=ets)
+    cols = np.empty((0, n)) if spec.k <= n // CACHE_DIVISOR else None
+    return PenaltyFactorization(rho=float(rho), chol=chol, s=s, t=t, ets=ets,
+                                ett=float(t.sum()), cols=cols, slot=np.full(n, -1))
 
 
 def x_step(fact: PenaltyFactorization, spec: ProblemSpec, y: np.ndarray) -> np.ndarray:
-    """Unique minimizer of q_rho(., y) over {e'x = 1}, in closed form."""
-    # the factor was checked once by cho_factor; skip the per-step finiteness scan
-    u = fact.t + cho_solve(fact.chol, 2.0 * fact.rho * np.asarray(y, dtype=float),
-                           check_finite=False)
-    beta_term = (1.0 - 0.5 * float(np.sum(u))) / (0.5 * fact.ets)
+    """Unique minimizer of q_rho(., y) over {e'x = 1}, in closed form.
+
+    u = (A + rho I)^{-1}(tau*mu + 2*rho*y) is t plus the cached columns of y's
+    support weighted by 2*rho*y_S, so the cost scales with nnz(y): O(n*nnz(y))
+    once the columns are cached. Without a cache, or for a y whose support
+    does not fit it (a dense y), it is one full O(n^2) backsolve.
+    """
+    y = np.asarray(y, dtype=float)
+    cached = fact.support_columns(y)
+    if cached is None:
+        u = fact.t + fact.solve(2.0 * fact.rho * y)
+    else:
+        yS, W = cached
+        u = fact.t + (2.0 * fact.rho * yS) @ W
+    beta_term = (1.0 - 0.5 * float(u.sum())) / (0.5 * fact.ets)
     x = 0.5 * (u + beta_term * fact.s)
     # pin e'x = 1 against round-off
     x += (1.0 - x.sum()) / x.size
@@ -115,6 +175,30 @@ def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
     return float(np.abs(new - old).max() / max(np.abs(new).max(), 1.0))
 
 
+def _merit(fact: PenaltyFactorization, spec: ProblemSpec, x: np.ndarray,
+           y_old: np.ndarray, y: np.ndarray) -> float:
+    """q_rho(x, y) in O(n*nnz(y_old)), for x = x_step(fact, spec, y_old).
+
+    With d = x - y_old, the x-step's KKT relation
+    (A + rho I)x = (tau*mu + 2*rho*y_old + b*e) / 2 gives
+    A d = (tau*mu + b*e) / 2 - rho*d - A y_old, so
+    x'Ax = x'A y_old + tau*mu'd/2 + b*e'd/2 - rho*d'd needs A only on the
+    support S of y_old. The budget multiplier b follows from e'x = 1 and
+    e'(A + rho I)^{-1} = s' in O(|S|). Only the small d is multiplied by rho,
+    so the round-off stays near that of penalty_q at large rho.
+    """
+    S = np.flatnonzero(y_old)
+    yS = y_old[S]
+    b = (2.0 - fact.ett - 2.0 * fact.rho * fact.s[S].dot(yS)) / fact.ets
+    d = x - y_old
+    r = x - y
+    # y_old'A[S] for A y_old: A is symmetric (to SYM_TOL); tau*mu'd/2 - tau*mu'x
+    # is folded into -tau*(mu'x + mu'y_old)/2
+    q = (x.dot(yS.dot(spec.A[S])) - 0.5 * spec.tau * (spec.mu.dot(x) + spec.mu[S].dot(yS))
+         + 0.5 * b * d.sum() - fact.rho * (d.dot(d) - r.dot(r)))
+    return float(q)
+
+
 def bcd_inner(
     spec: ProblemSpec,
     rho: float,
@@ -124,8 +208,11 @@ def bcd_inner(
 ):
     """Alternate x/y steps at fixed rho until the relative-change rule fires.
 
-    Returns (x, y, iterations, q_trace, converged). q_trace is checked
-    non-increasing; an increase beyond round-off is an implementation bug.
+    Returns (x, y, iterations, q_trace, converged). q_trace holds each
+    iteration's q_rho(x, y), evaluated by _merit without a dense A x, and is
+    checked non-increasing; an increase beyond round-off is an implementation
+    bug. The last entry is checked once against the exact penalty_q of the
+    returned pair, which catches a wrong x-step.
     """
     if fact is None:
         fact = build_factorization(spec, rho)
@@ -138,7 +225,7 @@ def bcd_inner(
         x_new = x_step(fact, spec, y)
         y_new = y_step(x_new, spec.k)
         iterations += 1
-        q = penalty_q(spec, rho, x_new, y_new)
+        q = _merit(fact, spec, x_new, y, y_new)
         if q_trace and q > q_trace[-1] + MONOTONE_TOL * (1.0 + abs(q)):
             raise MonotonicityViolation(
                 f"q increased from {q_trace[-1]:.12e} to {q:.12e} at rho={rho}"
@@ -151,6 +238,11 @@ def bcd_inner(
                 converged = True
                 break
         x, y = x_new, y_new
+    exact = penalty_q(spec, rho, x, y)
+    if abs(exact - q_trace[-1]) > MONOTONE_TOL * (1.0 + abs(exact)):
+        raise MeritMismatch(
+            f"merit {q_trace[-1]:.12e} != penalty_q {exact:.12e} at rho={rho}"
+        )
     return x, y, iterations, q_trace, converged
 
 

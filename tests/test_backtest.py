@@ -11,7 +11,13 @@ from ccmv import (
     in_sample_stats,
     rolling_horizon,
 )
-from ccmv.errors import BadConfig, SharpeUndefined, SigmaUndefined
+from ccmv.errors import (
+    BadConfig,
+    MonotonicityViolation,
+    NotPSD,
+    SharpeUndefined,
+    SigmaUndefined,
+)
 
 
 def constant_weights_solver(weights):
@@ -112,7 +118,7 @@ class TestRollingHorizon:
         def flaky(spec, cfg):
             calls["n"] += 1
             if calls["n"] == 2:
-                raise RuntimeError("window 2 blows up")
+                raise NotPSD("window 2 has a negative eigenvalue")
             return constant_weights_solver([1.0, 0.0])(spec, cfg)
 
         rng = np.random.default_rng(103)
@@ -122,6 +128,23 @@ class TestRollingHorizon:
         assert report.failed_windows == [4]
         np.testing.assert_array_equal(report.weights_by_window[1],
                                       report.weights_by_window[0])
+
+    @pytest.mark.parametrize("exc", [MonotonicityViolation("q increased"),
+                                     RuntimeError("solver crashed")])
+    def test_solver_fault_propagates(self, exc):
+        # only a rejected instance is carried forward; a solver fault is raised
+        calls = {"n": 0}
+
+        def faulty(spec, cfg):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise exc
+            return constant_weights_solver([1.0, 0.0])(spec, cfg)
+
+        rng = np.random.default_rng(103)
+        returns = ReturnsMatrix(rng.normal(0.0, 0.05, size=(7, 2)), ("A", "B"))
+        with pytest.raises(type(exc)):
+            rolling_horizon(returns, BacktestConfig(window=3, tau=0.5, k=1), solve_fn=faulty)
 
     def test_too_few_oos_periods(self):
         rng = np.random.default_rng(107)

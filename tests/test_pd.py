@@ -18,10 +18,16 @@ from ccmv import (
     x_step,
     y_step,
 )
-from ccmv.errors import BadSupport, NumericalBreakdown
+from ccmv import pd
+from ccmv.errors import BadSupport, MeritMismatch, NumericalBreakdown
+from ccmv.model import validate_problem
 from ccmv.oracle import restricted_qp_solve
 from ccmv.pd import _project_simplex, dense_simplex_minimizer
-from ccmv.synthetic import factor_model_instance, random_psd_instance
+from ccmv.synthetic import (
+    factor_model_instance,
+    monthly_returns_instance,
+    random_psd_instance,
+)
 
 from conftest import assert_feasible
 
@@ -96,6 +102,36 @@ class TestXStep:
             y = rng.normal(size=7)
             np.testing.assert_allclose(x_step(fact, spec, y),
                                        kkt_linear_solve(spec, rho, y), atol=1e-8)
+
+    @pytest.mark.parametrize("big_rho", [False, True])
+    def test_cached_columns_match_dense_kkt_solve(self, big_rho):
+        spec = factor_model_instance(226, 10, seed=0)
+        rho = 1e4 if big_rho else validate_problem(spec) + 1.0
+        rng = np.random.default_rng(47)
+
+        def sparse_y(support):
+            y = np.zeros(spec.n)
+            y[list(support)] = rng.dirichlet(np.ones(len(support)))
+            return y
+
+        first = sparse_y(range(10))
+        # (y, cached columns after the call): misses on first use, hits after
+        sequence = [
+            (first, 10),
+            (sparse_y(range(5, 15)), 15),        # overlaps the cached support
+            (sparse_y(range(100, 110)), 25),     # disjoint from it
+            (first, 25),                         # repeated support
+            (sparse_y(range(10)), 25),           # same support, new values
+            (np.zeros(spec.n), 25),              # y = 0
+            (rng.uniform(size=spec.n), 25),      # dense: one full backsolve
+        ]
+        fact = build_factorization(spec, rho)
+        for y, cached in sequence:
+            x = x_step(fact, spec, y)
+            assert fact.cols.shape[0] == cached
+            np.testing.assert_allclose(x, kkt_linear_solve(spec, rho, y), rtol=0, atol=1e-10)
+            fresh = x_step(build_factorization(spec, rho), spec, y)
+            np.testing.assert_allclose(x, fresh, rtol=0, atol=1e-15)
 
 
 class TestYStep:
@@ -172,6 +208,43 @@ class TestBcdInner:
         spec = random_psd_instance(n=5, k=2, seed=9)
         x, y, _, q_trace, _ = bcd_inner(spec, 3.0, y_step(spec.mu, 2), SolverConfig())
         assert q_trace[-1] == pytest.approx(penalty_q(spec, 3.0, x, y), abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["random", "rank_deficient", "scale"])
+    @pytest.mark.parametrize("rho", ["floor", 1e4, 1e6])
+    def test_merit_matches_penalty_q_every_iteration(self, monkeypatch, kind, rho):
+        pairs = []
+
+        def recording_y_step(x, k):
+            y = y_step(x, k)
+            pairs.append((x, y))
+            return y
+
+        monkeypatch.setattr(pd, "y_step", recording_y_step)
+        for seed in range(3):
+            if kind == "random":
+                spec = random_psd_instance(n=12, k=4, seed=seed)
+            elif kind == "rank_deficient":  # estimation window shorter than the asset count
+                spec = monthly_returns_instance(60, 6, seed=seed, periods=30)
+            else:
+                spec = factor_model_instance(226, 10, seed=seed)
+            r = validate_problem(spec) + 1.0 if rho == "floor" else rho
+            pairs.clear()
+            y0 = y_step(dense_simplex_minimizer(spec), spec.k)
+            _, _, iters, q_trace, _ = bcd_inner(spec, r, y0, SolverConfig())
+            assert len(pairs) == len(q_trace) == iters
+            for q, (x, y) in zip(q_trace, pairs):
+                exact = penalty_q(spec, r, x, y)
+                assert abs(q - exact) <= 1e-12 * (1.0 + abs(exact))
+
+    def test_wrong_x_step_raises_merit_mismatch(self, monkeypatch):
+        spec = factor_model_instance(40, 5, seed=3)
+        shift = np.zeros(spec.n)
+        shift[:2] = [1e-3, -1e-3]  # stays on the budget hyperplane
+        exact_step = pd.x_step
+        monkeypatch.setattr(pd, "x_step", lambda fact, spec, y: exact_step(fact, spec, y) + shift)
+        y0 = y_step(dense_simplex_minimizer(spec), spec.k)
+        with pytest.raises(MeritMismatch):
+            bcd_inner(spec, 10.0, y0, SolverConfig())
 
 
 class TestPolishSupport:
