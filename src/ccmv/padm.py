@@ -115,7 +115,7 @@ def ccmv_padm_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solut
 
     rho = cfg.rho0
     x_feas = make_feasible_point(spec)
-    x = dense_simplex_minimizer(spec, lam_max=lam_max)
+    x = dense_simplex_minimizer(spec)
     y = padm_y_step(x, spec.k)
 
     trace: list[OuterRecord] = []

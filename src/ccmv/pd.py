@@ -1,11 +1,13 @@
 """Penalty decomposition solver for the k-sparse mean-variance problem.
 
-Inner loop: block coordinate descent alternating a closed-form solve over the
-budget hyperplane {e'x = 1} with a clamp-and-keep-top-k thresholding step.
-Outer loop: geometric penalty growth with a level-set safeguard. The
-discovered support is then polished by a finite primal active-set solve of
-the convex QP restricted to it (exact for any support size), and the result
-carries a KKT certificate.
+Seed: the exact minimizer of f over the whole simplex, whose top-k entries
+give the first support. Inner loop: block coordinate descent alternating a
+closed-form solve over the budget hyperplane {e'x = 1} with a
+clamp-and-keep-top-k thresholding step. Outer loop: geometric penalty growth
+with a level-set safeguard. The discovered support and the seed's support are
+then polished by the same finite primal active-set solve of the convex QP
+restricted to a support (exact for any support size); the better result is
+returned with a KKT certificate.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
+from scipy.linalg import cho_factor, LinAlgError
 from scipy.linalg.lapack import dpotrs
 
 from .errors import BadSupport, MeritMismatch, MonotonicityViolation, NumericalBreakdown
@@ -28,7 +30,7 @@ from .model import (
     STATUS_CONVERGED,
     STATUS_MAX_ITERATIONS,
     make_feasible_point,
-    max_eigenvalue,
+    max_eigenvalue,  # unused here; benchmark/run.py traces it as pd.max_eigenvalue
     objective_f,
     penalty_q,
     validate_problem,
@@ -101,8 +103,8 @@ class PenaltyFactorization:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """(A + rho I)^{-1} b by one LAPACK potrs call.
 
-        cho_factor checked the factor once; this skips cho_solve's per-call
-        checks, which cost several times the backsolve itself at small n.
+        ProblemSpec checked A once; this skips cho_solve's per-call checks,
+        which cost several times the backsolve itself at small n.
         """
         c, lower = self.chol
         return dpotrs(c, b, lower=lower)[0]
@@ -111,15 +113,16 @@ class PenaltyFactorization:
 def build_factorization(spec: ProblemSpec, rho: float) -> PenaltyFactorization:
     """Factor (A + rho*I) once per penalty level, with an empty column cache (or none)."""
     n = spec.n
-    M = spec.A + rho * np.eye(n)
+    M = spec.A.copy()
+    M.flat[:: n + 1] += rho
     try:
-        chol = cho_factor(M, lower=True)
+        # ProblemSpec rejects non-finite A and rho is finite: skip the scan
+        chol = cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError as exc:  # pragma: no cover - requires an invalid spec
         raise NumericalBreakdown(f"Cholesky of A + {rho}*I failed") from exc
-    e = np.ones(n)
-    s = cho_solve(chol, e)
-    t = cho_solve(chol, spec.tau * spec.mu)
-    ets = float(e @ s)
+    s, t = dpotrs(chol[0], np.column_stack((np.ones(n), spec.tau * spec.mu)),
+                  lower=chol[1])[0].T
+    ets = float(s.sum())
     if ets <= 0:  # pragma: no cover - impossible for SPD matrices
         raise NumericalBreakdown("e'(A+rho I)^{-1}e is not positive")
     cols = np.empty((0, n)) if spec.k <= n // CACHE_DIVISOR else None
@@ -246,47 +249,50 @@ def bcd_inner(
     return x, y, iterations, q_trace, converged
 
 
-def polish_support(spec: ProblemSpec, support) -> tuple[np.ndarray, float]:
-    """Exact solve of the problem restricted to a support: zeros stay hard zeros.
+def _active_set(spec: ProblemSpec, idx: np.ndarray) -> np.ndarray:
+    """Minimizer of f over {e'x = 1, x >= 0, x_i = 0 off idx}, as a length-n vector.
 
-    Primal active-set method (Lawson-Hanson style) for
-    min x'A_S x - tau*mu_S'x over {e'x = 1, x >= 0}. Starts at the best
-    single-asset vertex (ties: lowest index) and keeps a free set F. Each step
-    minimizes over the face {x_i = 0 off F}: a step blocked by a bound moves to
-    it and drops that coordinate; at a face minimizer, the zero coordinate with
-    the most negative multiplier g_i + beta is released. It stops when none is
-    negative, which is the KKT system of this convex problem, so the result is
-    its global minimum. A face with a zero-curvature direction (duplicate
-    assets, rank-deficient A_S) is crossed along it to the first blocking
-    bound. Every step is polynomial in |S|, for any support size.
+    Primal active-set method (Lawson & Hanson, Solving Least Squares Problems,
+    1974, ch. 23) for min z'H z/2 - c'z with H = 2*A_idx and c = tau*mu_idx.
+    Starts at the best single-asset vertex (ties: lowest index) and keeps a
+    free set F. Each step minimizes over the face {z_i = 0 off F}: a step
+    blocked by a bound moves to it and drops that coordinate; at a face
+    minimizer, the zero coordinate with the most negative multiplier
+    g_i + beta is released. It stops when none is negative, which is the KKT
+    system of this convex problem, so the result is its global minimum. A face
+    with a zero-curvature direction (duplicate assets, rank-deficient A_idx)
+    is crossed along it to the first blocking bound.
+
+    z is zero off F, so the gradient needs only the |F| rows of A on F, and
+    the face needs only its |F| x |F| block: a step costs O(n*|F| + |F|^3),
+    whatever the size of idx.
     """
-    support = tuple(sorted(int(i) for i in support))
-    if not support:
-        raise BadSupport("empty support")
-    idx = np.array(support)
+    A = spec.A
     m = idx.size
-    H = 2.0 * spec.A[np.ix_(idx, idx)]
+    d = 2.0 * A[idx, idx]
     c = spec.tau * spec.mu[idx]
-    h_scale = float(np.abs(H).max())
+    # A is PSD, so the largest |H_ij| sits on the diagonal
+    h_scale = float(np.abs(d).max())
     # round-off level of the gradient and of the reduced Hessian's eigenvalues
     g_tol = 64.0 * m * EPS * (1.0 + h_scale + float(np.abs(c).max()))
     curv_tol = 64.0 * m * EPS * h_scale
     z = np.zeros(m)
-    z[int(np.argmin(0.5 * np.diag(H) - c))] = 1.0
+    z[int(np.argmin(0.5 * d - c))] = 1.0
     free = z > 0.0
     at_face_min = True
     for _ in range(POLISH_STEPS_PER_ASSET * m):
-        g = H @ z - c
+        F = np.flatnonzero(free)
+        g = 2.0 * (z[F] @ A[idx[F]])[idx] - c  # A_idx,F z_F from rows of the symmetric A
         if at_face_min:
-            lam = g - g[free].mean()  # g_i + beta, with beta from g_F + beta*e = 0
-            lam[free] = 0.0
+            lam = g - g[F].mean()  # g_i + beta, with beta from g_F + beta*e = 0
+            lam[F] = 0.0
             i = int(np.argmin(lam))
             if lam[i] >= -g_tol:
                 break
             free[i] = True
-        F = np.flatnonzero(free)
+            F = np.flatnonzero(free)
         Z = np.linalg.qr(np.ones((F.size, 1)), mode="complete")[0][:, 1:]  # basis of e'p = 0
-        w, V = np.linalg.eigh(Z.T @ H[np.ix_(F, F)] @ Z)
+        w, V = np.linalg.eigh(Z.T @ (2.0 * A[np.ix_(idx[F], idx[F])]) @ Z)
         a = V.T @ (Z.T @ g[F])
         flat = w <= curv_tol
         if np.abs(a[flat]).max(initial=0.0) > g_tol:
@@ -307,11 +313,26 @@ def polish_support(spec: ProblemSpec, support) -> tuple[np.ndarray, float]:
             free[j] = False
         at_face_min = not blocked
     else:
-        raise NumericalBreakdown(f"active-set polish did not terminate on support {support}")
+        raise NumericalBreakdown(f"active-set solve did not terminate on {m} assets")
     x = np.zeros(spec.n)
     x[idx] = z
     pos = idx[z > 0.0]
     x[pos] += (1.0 - x.sum()) / pos.size
+    return x
+
+
+def polish_support(spec: ProblemSpec, support) -> tuple[np.ndarray, float]:
+    """Exact solve of the problem restricted to a support: zeros stay hard zeros.
+
+    Returns (x, f(x)) for the global minimizer x of the convex QP
+    min x'Ax - tau*mu'x over {e'x = 1, x >= 0, x_i = 0 off the support}, found
+    by the finite active-set kernel _active_set. Each of its steps costs
+    O(n*|F| + |F|^3) on its free set F, for any support size.
+    """
+    support = tuple(sorted(int(i) for i in support))
+    if not support:
+        raise BadSupport("empty support")
+    x = _active_set(spec, np.array(support))
     return x, objective_f(spec, x)
 
 
@@ -365,25 +386,15 @@ def kkt_check(spec: ProblemSpec, x: np.ndarray, support) -> KktCertificate:
     )
 
 
-def dense_simplex_minimizer(spec: ProblemSpec, iters: int = 300,
-                            lam_max: float | None = None) -> np.ndarray:
-    """Projected-gradient minimizer of f over the full simplex (no sparsity).
+def dense_simplex_minimizer(spec: ProblemSpec) -> np.ndarray:
+    """Exact minimizer of f over the full simplex (no sparsity).
 
-    Cheap, deterministic starting point: its top-k entries seed the block
+    The active-set kernel on every index: its top-k entries seed the block
     solvers with a support informed by the dense optimum rather than by mu
-    alone.
+    alone. A simplex point keeps its largest entry in its top-k, so the seed
+    is never empty.
     """
-    if lam_max is None:
-        lam_max = max_eigenvalue(spec.A)
-    step = 1.0 / (2.0 * lam_max + 1e-12)
-    x = np.full(spec.n, 1.0 / spec.n)
-    for _ in range(iters):
-        g = 2.0 * (spec.A @ x) - spec.tau * spec.mu
-        x_new = _project_simplex(x - step * g)
-        if np.abs(x_new - x).max() <= 1e-12:
-            return x_new
-        x = x_new
-    return x
+    return _active_set(spec, np.arange(spec.n))
 
 
 def _support_of(y: np.ndarray, k: int) -> tuple[int, ...]:
@@ -392,7 +403,11 @@ def _support_of(y: np.ndarray, k: int) -> tuple[int, ...]:
 
 
 def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solution:
-    """Full penalty-decomposition solve: schedule, safeguard, polish, certify."""
+    """Full penalty-decomposition solve: schedule, safeguard, polish, certify.
+
+    Returns the better of the polished final support and the polished top-k
+    of the exact dense seed (the final polish on a tie).
+    """
     t0 = time.perf_counter()
     cfg = cfg or SolverConfig()
     lam_max = validate_problem(spec)
@@ -407,9 +422,8 @@ def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solutio
         log.info(raised_note)
 
     x_feas = make_feasible_point(spec)
-    y = y_step(dense_simplex_minimizer(spec, lam_max=lam_max), spec.k)
-    if y.sum() <= 0.0:
-        y = x_feas.copy()
+    y = y_step(dense_simplex_minimizer(spec), spec.k)
+    incumbent = polish_support(spec, _support_of(y, spec.k))
 
     fact = build_factorization(spec, rho)
     x0 = x_step(fact, spec, y)
@@ -441,6 +455,8 @@ def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solutio
     if not support:
         support = _support_of(x_feas, spec.k)
     weights, objective = polish_support(spec, support)
+    if incumbent[1] < objective:
+        weights, objective = incumbent
     support = tuple(int(i) for i in np.flatnonzero(weights != 0.0))
     cert = kkt_check(spec, weights, support)
     return Solution(

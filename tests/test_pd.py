@@ -12,6 +12,7 @@ from ccmv import (
     build_factorization,
     ccmv_pd_solve,
     kkt_check,
+    max_eigenvalue,
     objective_f,
     penalty_q,
     polish_support,
@@ -282,7 +283,14 @@ class TestPolishSupport:
         x, obj = polish_support(spec, tuple(range(30)))
         assert abs(x.sum() - 1.0) <= 1e-8
         assert x.min() >= 0.0
-        x_ref = dense_simplex_minimizer(spec, iters=5000)
+        # independent reference: 5000 projected-gradient steps from the barycentre
+        step = 1.0 / (2.0 * max_eigenvalue(spec.A) + 1e-12)
+        x_ref = np.full(spec.n, 1.0 / spec.n)
+        for _ in range(5000):
+            x_prev = x_ref
+            x_ref = _project_simplex(x_prev - step * (2.0 * (spec.A @ x_prev) - spec.tau * spec.mu))
+            if np.abs(x_ref - x_prev).max() <= 1e-12:
+                break
         assert obj <= objective_f(spec, x_ref) + 1e-6
 
     @pytest.mark.parametrize("spec", [
@@ -358,9 +366,23 @@ class TestProjectSimplex:
                                           [1.0, 0.0, 0.0])
 
     def test_dense_minimizer_at_extreme_tau(self):
-        # A = 0 makes the step 1e12, so the projected point carries entries near 1e17
+        # A = 0 and tau * mu near 1e5: the seed is the single best-mu vertex, exactly
         spec = ProblemSpec(np.zeros((3, 3)), np.array([0.05, 0.1, 0.02]), tau=1e6, k=2)
         np.testing.assert_array_equal(dense_simplex_minimizer(spec), [0.0, 1.0, 0.0])
+
+
+class TestDenseSimplexMinimizer:
+    @pytest.mark.parametrize("make, args", [
+        (factor_model_instance, (1000, 10)),
+        (factor_model_instance, (226, 10)),
+        (monthly_returns_instance, (100, 10)),  # 60 periods: rank-deficient A
+    ], ids=["factor1000", "factor226", "monthly100"])
+    def test_kkt_certified_on_full_support(self, make, args):
+        spec = make(*args, seed=0)
+        x = dense_simplex_minimizer(spec)
+        assert abs(x.sum() - 1.0) <= 1e-12
+        assert x.min() >= 0.0
+        assert kkt_check(spec, x, range(spec.n)).max_residual <= 1e-8
 
 
 class TestKktCheck:
@@ -413,6 +435,31 @@ class TestCcmvPdSolve:
             spec = random_psd_instance(n=7, k=3, seed=seed)
             sol = ccmv_pd_solve(spec)
             assert sol.objective <= sol.upsilon + 1e-8
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_no_worse_than_polished_seed(self, seed):
+        spec = factor_model_instance(476, 10, seed=seed)
+        y = y_step(dense_simplex_minimizer(spec), spec.k)
+        _, f_seed = polish_support(spec, np.flatnonzero(y))
+        sol = ccmv_pd_solve(spec)
+        assert sol.objective <= f_seed
+        assert sol.objective <= sol.upsilon
+
+    def test_polish_calls_are_k_sparse(self, monkeypatch):
+        # benchmark/run.py books 2^|S| - 1 patterns per pd.polish_support call,
+        # so the dense seed must reach the kernel without going through it
+        supports = []
+        polish = pd.polish_support
+
+        def recording_polish(spec, support):
+            supports.append(tuple(support))
+            return polish(spec, support)
+
+        monkeypatch.setattr(pd, "polish_support", recording_polish)
+        spec = factor_model_instance(226, 10, seed=0)
+        ccmv_pd_solve(spec)
+        assert 1 <= len(supports) <= 2
+        assert all(len(support) <= spec.k for support in supports)
 
     def test_converged_infeasibility(self):
         spec = random_psd_instance(n=6, k=2, seed=11)
