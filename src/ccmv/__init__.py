@@ -16,7 +16,7 @@ from .model import (
     penalty_q,
     validate_problem,
 )
-from .oracle import OracleResult, brute_force_solve, restricted_qp_solve
+from .oracle import OracleResult, brute_force_solve
 from .padm import ccmv_padm_solve, padm_x_step, padm_y_step
 from .pd import (
     bcd_inner,
@@ -55,7 +55,6 @@ __all__ = [
     "padm_y_step",
     "penalty_q",
     "polish_support",
-    "restricted_qp_solve",
     "rolling_horizon",
     "validate_problem",
     "x_step",

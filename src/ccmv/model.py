@@ -230,8 +230,9 @@ def validate_problem(spec: ProblemSpec) -> float:
     computes, so a solver needs no second spectral solve.
     """
     A = spec.A
-    scale = max(1.0, float(np.abs(A).max()))
-    asymmetry = float(np.abs(A - A.T).max())
+    scale = max(1.0, float(A.max()), -float(A.min()))
+    # A - A.T is antisymmetric: its largest entry is its largest |entry|
+    asymmetry = float((A - A.T).max())
     if asymmetry > SYM_TOL * scale:
         raise AsymmetricA(f"max asymmetry {asymmetry:.3e}")
     # eigvalsh reads one triangle; the other differs by at most SYM_TOL * scale

@@ -20,7 +20,6 @@ from .model import (
     SolverConfig,
     STATUS_CONVERGED,
     STATUS_MAX_ITERATIONS,
-    make_feasible_point,
     max_eigenvalue,
     objective_f,
     validate_problem,
@@ -114,7 +113,6 @@ def ccmv_padm_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solut
     from .pd import dense_simplex_minimizer
 
     rho = cfg.rho0
-    x_feas = make_feasible_point(spec)
     x = dense_simplex_minimizer(spec)
     y = padm_y_step(x, spec.k)
 
@@ -139,8 +137,6 @@ def ccmv_padm_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solut
         rho *= cfg.zeta
 
     support = tuple(int(i) for i in np.flatnonzero(y != 0.0))[: spec.k]
-    if not support:
-        support = tuple(int(i) for i in np.flatnonzero(x_feas != 0.0))
     weights, objective = polish_support(spec, support)
     support = tuple(int(i) for i in np.flatnonzero(weights != 0.0))
     cert = kkt_check(spec, weights, support)

@@ -451,10 +451,7 @@ def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solutio
             trace[-1].note = (trace[-1].note + "; " if trace[-1].note else "") + "safeguard reset"
         rho = rho_next
 
-    support = _support_of(y, spec.k)
-    if not support:
-        support = _support_of(x_feas, spec.k)
-    weights, objective = polish_support(spec, support)
+    weights, objective = polish_support(spec, _support_of(y, spec.k))
     if incumbent[1] < objective:
         weights, objective = incumbent
     support = tuple(int(i) for i in np.flatnonzero(weights != 0.0))

@@ -83,8 +83,20 @@ class TestValidateProblem:
 
     def test_asymmetric(self):
         A = np.array([[1.0, 0.2], [0.1, 1.0]])
-        with pytest.raises(AsymmetricA):
-            validate_problem(ProblemSpec(A, np.zeros(2), tau=0.5, k=1))
+        for M in (A, A.T):
+            with pytest.raises(AsymmetricA):
+                validate_problem(ProblemSpec(M, np.zeros(2), tau=0.5, k=1))
+        # the scale is the largest |entry|, here a negative one: an asymmetry
+        # of 1e-7 is round-off at scale 1e6 (the matrix then fails as not PSD),
+        # one of 1e-5 is not
+        big = np.array([[1.0, -1e6], [-1e6 + 1e-7, 1.0]])
+        for M in (big, big.T):
+            with pytest.raises(NotPSD):
+                validate_problem(ProblemSpec(M, np.zeros(2), tau=0.5, k=1))
+        big = np.array([[1.0, -1e6], [-1e6 + 1e-5, 1.0]])
+        for M in (big, big.T):
+            with pytest.raises(AsymmetricA):
+                validate_problem(ProblemSpec(M, np.zeros(2), tau=0.5, k=1))
 
     def test_bad_tau(self):
         with pytest.raises(BadTau):

@@ -1,11 +1,17 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from ccmv import ProblemSpec, brute_force_solve, objective_f, restricted_qp_solve
+from ccmv import ProblemSpec, brute_force_solve, kkt_check, objective_f
+from ccmv import oracle
 from ccmv.errors import TooLarge
+from ccmv.oracle import restricted_qp_solve
 from ccmv.synthetic import random_psd_instance
 
-from conftest import assert_feasible
+from conftest import assert_feasible, degenerate_specs, enumerate_restricted_qp
 
 
 class TestRestrictedQpSolve:
@@ -34,11 +40,6 @@ class TestRestrictedQpSolve:
         x, obj = restricted_qp_solve(spec, (0, 1))
         np.testing.assert_array_equal(x, [1.0, 0.0])
 
-    def test_too_large_support(self):
-        spec = random_psd_instance(n=25, k=25, seed=0)
-        with pytest.raises(TooLarge):
-            restricted_qp_solve(spec, tuple(range(25)))
-
     def test_beats_random_feasible_points(self):
         rng = np.random.default_rng(83)
         for seed in range(10):
@@ -59,7 +60,7 @@ class TestBruteForceSolve:
     def test_k_equals_n_single_support(self):
         spec = random_psd_instance(n=5, k=5, seed=3)
         res = brute_force_solve(spec)
-        xr, fr = restricted_qp_solve(spec, tuple(range(5)))
+        xr, fr = enumerate_restricted_qp(spec, tuple(range(5)))
         assert res.objective == pytest.approx(fr, abs=1e-12)
         assert res.supports_examined == 1
 
@@ -74,6 +75,30 @@ class TestBruteForceSolve:
                 z = np.zeros(7)
                 z[S] = rng.dirichlet(np.ones(3))
                 assert res.objective <= objective_f(spec, z) + 1e-9
+
+    def test_full_support_past_old_size_limit(self):
+        # 25 assets in one support: no per-support size limit, no 2^25 patterns
+        spec = random_psd_instance(n=25, k=25, seed=0)
+        res = brute_force_solve(spec)
+        assert res.supports_examined == 1
+        assert_feasible(spec, res.x, res.support)
+        assert kkt_check(spec, res.x, res.support).max_residual <= 1e-8
+
+    @pytest.mark.parametrize("n,k", [(6, 1), (6, 3), (7, 4), (5, 5)])
+    def test_one_restricted_solve_per_support(self, monkeypatch, n, k):
+        # benchmark/run.py traces oracle.restricted_qp_solve as the oracle's
+        # per-support layer: brute_force_solve must call it once per support
+        supports = []
+        solve = oracle.restricted_qp_solve
+
+        def recording_solve(spec, support):
+            supports.append(tuple(support))
+            return solve(spec, support)
+
+        monkeypatch.setattr(oracle, "restricted_qp_solve", recording_solve)
+        res = brute_force_solve(random_psd_instance(n=n, k=k, seed=n + k))
+        assert len(supports) == math.comb(n, k) == res.supports_examined
+        assert sorted(supports) == list(itertools.combinations(range(n), k))
 
     def test_budget_guard(self):
         spec = random_psd_instance(n=40, k=20, seed=0)
@@ -91,3 +116,22 @@ class TestBruteForceSolve:
             spec = random_psd_instance(n=6, k=2, seed=seed)
             res = brute_force_solve(spec)
             assert res.objective == pytest.approx(objective_f(spec, res.x), abs=1e-12)
+
+
+def exhaustive_solve(spec):
+    """Least objective over every size-k support and, in each, every zero pattern."""
+    return min(enumerate_restricted_qp(spec, support)[1]
+               for support in itertools.combinations(range(spec.n), spec.k))
+
+
+class TestBruteForceProperty:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(degenerate_specs(7))
+    def test_matches_exhaustive_enumeration(self, spec_n):
+        for k in range(1, spec_n.n + 1):
+            spec = ProblemSpec(spec_n.A, spec_n.mu, tau=spec_n.tau, k=k)
+            res = brute_force_solve(spec)
+            f_ref = exhaustive_solve(spec)
+            assert abs(res.objective - f_ref) <= 1e-9 * (1.0 + abs(f_ref))
+            assert res.objective == objective_f(spec, res.x)
+            assert_feasible(spec, res.x, res.support)

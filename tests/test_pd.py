@@ -22,7 +22,6 @@ from ccmv import (
 from ccmv import pd
 from ccmv.errors import BadSupport, MeritMismatch, NumericalBreakdown
 from ccmv.model import validate_problem
-from ccmv.oracle import restricted_qp_solve
 from ccmv.pd import _project_simplex, dense_simplex_minimizer
 from ccmv.synthetic import (
     factor_model_instance,
@@ -30,7 +29,7 @@ from ccmv.synthetic import (
     random_psd_instance,
 )
 
-from conftest import assert_feasible
+from conftest import assert_feasible, degenerate_specs, enumerate_restricted_qp
 
 
 def kkt_linear_solve(spec, rho, y):
@@ -275,7 +274,7 @@ class TestPolishSupport:
             spec = random_psd_instance(n=7, k=3, seed=seed)
             support = tuple(np.random.default_rng(seed).choice(7, size=3, replace=False))
             xp, fp = polish_support(spec, support)
-            xo, fo = restricted_qp_solve(spec, support)
+            xo, fo = enumerate_restricted_qp(spec, support)
             assert fp == pytest.approx(fo, abs=1e-8)
 
     def test_full_support_below_dense_reference(self):
@@ -308,23 +307,10 @@ class TestPolishSupport:
 @st.composite
 def degenerate_restricted_qps(draw):
     """A small instance with one of the degenerate structures, plus a support."""
-    n = draw(st.integers(1, 10))
-    kind = draw(st.sampled_from(["rank-deficient", "duplicate", "tied-mu", "generic"]))
-    tau = 10.0 ** draw(st.floats(-6.0, 6.0))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rank = draw(st.integers(1, n)) if kind != "generic" else n
-    scale = 10.0 ** draw(st.sampled_from([-2.0, 0.0]))  # -2: monthly-return volatilities
-    G = scale * rng.standard_normal((n, rank))
-    mu = rng.uniform(0.0, 0.2, size=n)
-    if kind == "duplicate" and n >= 2:
-        G[-1] = G[0]
-        mu[-1] = mu[0]
-    if kind == "tied-mu":
-        mu[:] = mu[0]
-    A = G @ G.T / rank  # no ridge: rank-deficient whenever rank < n
-    spec = ProblemSpec(0.5 * (A + A.T), mu, tau=tau, k=n)
+    spec = draw(degenerate_specs(10))
+    n = spec.n
     size = draw(st.sampled_from([1, n, draw(st.integers(1, n))]))
-    support = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+    support = tuple(sorted(draw(st.permutations(range(n)))[:size]))
     return spec, support
 
 
@@ -334,7 +320,7 @@ class TestPolishSupportProperty:
     def test_matches_oracle_on_degenerate_inputs(self, case):
         spec, support = case
         x, fx = polish_support(spec, support)
-        _, f_ref = restricted_qp_solve(spec, support)
+        _, f_ref = enumerate_restricted_qp(spec, support)
         assert abs(fx - f_ref) <= 1e-9 * (1.0 + abs(f_ref))
         assert fx == objective_f(spec, x)
         assert x.min() >= 0.0
