@@ -48,10 +48,11 @@ class BacktestReport:
     sharpe_hat: float | None
     in_sample: tuple[float, float, float | None]
     failed_windows: list[int] = field(default_factory=list)
+    failed_reasons: dict[int, str] = field(default_factory=dict)  # window -> "ExcType: message"
 
     def to_dict(self) -> dict:
         ret, risk, sr = self.in_sample
-        return {
+        d = {
             "weights_by_window": [[float(w) for w in x] for x in self.weights_by_window],
             "oos_returns": [float(r) for r in self.oos_returns],
             "mu_hat": self.mu_hat,
@@ -60,6 +61,9 @@ class BacktestReport:
             "in_sample": {"return": ret, "risk": risk, "sharpe": sr},
             "failed_windows": self.failed_windows,
         }
+        if self.failed_reasons:
+            d["failed_reasons"] = {str(t): r for t, r in self.failed_reasons.items()}
+        return d
 
 
 def in_sample_stats(spec: ProblemSpec, x: np.ndarray) -> tuple[float, float, float]:
@@ -113,8 +117,9 @@ def rolling_horizon(
 
     A window whose instance the solver rejects (InvalidSpec, or TooLarge from
     the oracle) carries the previous weights forward and is listed in
-    failed_windows. Any other exception, such as MonotonicityViolation or
-    NumericalBreakdown, is a solver fault and propagates.
+    failed_windows, with "ExcType: message" in failed_reasons. Any other
+    exception, such as MonotonicityViolation or NumericalBreakdown, is a
+    solver fault and propagates.
     """
     R = returns.values
     T, _n = R.shape
@@ -128,7 +133,7 @@ def rolling_horizon(
     solve = solve_fn if solve_fn is not None else _default_solver(cfg.solver_kind)
     weights_by_window: list[np.ndarray] = []
     oos: list[float] = []
-    failed: list[int] = []
+    failed: dict[int, str] = {}
     x_prev: np.ndarray | None = None
     last_spec: ProblemSpec | None = None
     for t in range(nu, T):
@@ -142,7 +147,7 @@ def rolling_horizon(
             if x_prev is None:
                 raise
             log.warning("window %d solver failed (%s); carrying weights forward", t, exc)
-            failed.append(t)
+            failed[t] = f"{type(exc).__name__}: {exc}"
             x_t = x_prev
         weights_by_window.append(x_t)
         oos.append(float(x_t @ R[t]))
@@ -166,5 +171,6 @@ def rolling_horizon(
         sigma_hat=sigma_hat,
         sharpe_hat=sharpe_hat,
         in_sample=in_sample,
-        failed_windows=failed,
+        failed_windows=list(failed),
+        failed_reasons=failed,
     )

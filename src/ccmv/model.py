@@ -32,6 +32,19 @@ PSD_TOL = 1e-10
 SYM_TOL = 1e-12
 
 
+def _read_only(values) -> np.ndarray:
+    """values as a read-only float64 array.
+
+    An input that already is one is kept as is; any other is copied before
+    it is frozen, so the caller's own array stays writeable.
+    """
+    a = np.asarray(values, dtype=float)
+    if a.flags.writeable:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class ReturnsMatrix:
     """T x n matrix of per-period simple returns."""
@@ -41,7 +54,7 @@ class ReturnsMatrix:
     period_label: str = "monthly"
 
     def __post_init__(self):
-        values = np.atleast_2d(np.asarray(self.values, dtype=float))
+        values = np.atleast_2d(_read_only(self.values))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "tickers", tuple(self.tickers))
         if values.ndim != 2 or values.shape[1] != len(self.tickers):
@@ -55,7 +68,6 @@ class ReturnsMatrix:
         if not np.isfinite(values).all():
             t, i = np.argwhere(~np.isfinite(values))[0]
             raise BadData(f"non-finite return at period {t}, asset {self.tickers[i]!r}")
-        values.setflags(write=False)
 
     @property
     def n_periods(self) -> int:
@@ -76,8 +88,8 @@ class ProblemSpec:
     k: int
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        mu = np.asarray(self.mu, dtype=float).ravel()
+        A = _read_only(self.A)
+        mu = _read_only(np.ravel(self.mu))
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "tau", float(self.tau))
@@ -88,8 +100,6 @@ class ProblemSpec:
             raise BadDimension(f"mu has length {mu.shape[0]}, A is {A.shape[0]}x{A.shape[0]}")
         if not (np.isfinite(A).all() and np.isfinite(mu).all()):
             raise BadData("non-finite entry in A or mu")
-        A.setflags(write=False)
-        mu.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -138,12 +148,15 @@ class OuterRecord:
     q: float
     infeas: float
     note: str = ""
+    jumps: int = 0  # accepted jumps to the level's saddle point on a stable support
 
     def to_dict(self) -> dict:
         d = {"rho": self.rho, "inner_iters": self.inner_iters,
              "q": self.q, "infeas": self.infeas}
         if self.note:
             d["note"] = self.note
+        if self.jumps:
+            d["jumps"] = self.jumps
         return d
 
 

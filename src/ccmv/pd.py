@@ -3,8 +3,12 @@
 Seed: the exact minimizer of f over the whole simplex, whose top-k entries
 give the first support. Inner loop: block coordinate descent alternating a
 closed-form solve over the budget hyperplane {e'x = 1} with a
-clamp-and-keep-top-k thresholding step. Outer loop: geometric penalty growth
-with a level-set safeguard. The discovered support and the seed's support are
+clamp-and-keep-top-k thresholding step. Once the support S of y stops
+changing, q_rho restricted to {e'x = 1, y = x on S, y = 0 off S} is a convex
+quadratic, and the descent jumps to its minimizer (the saddle point of the
+penalty subproblem on S) in closed form from the level's factorization,
+rather than approaching it one step at a time. Outer loop: geometric
+penalty growth with a level-set safeguard. The discovered support and the seed's support are
 then polished by the same finite primal active-set solve of the convex QP
 restricted to a support (exact for any support size); the better result is
 returned with a KKT certificate.
@@ -42,7 +46,8 @@ log = logging.getLogger("ccmv")
 ACTIVE_TOL = 1e-10
 
 # q_rho may increase by at most this relative amount between BCD iterations
-# before we declare a bug.
+# before we declare a bug; the x-step after a jump may differ from the jump's
+# x by at most this relative change.
 MONOTONE_TOL = 1e-9
 
 EPS = float(np.finfo(float).eps)
@@ -79,16 +84,16 @@ class PenaltyFactorization:
     ett: float         # e't
     cols: np.ndarray | None  # row j: (A + rho I)^{-1} e_i for the i with slot[i] == j
     slot: np.ndarray   # row of column i in cols, -1 if not cached
+    jumps: int = 0     # jumps accepted by the level's bcd_inner
 
-    def support_columns(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """(y_S, rows (A + rho I)^{-1} e_i for i in S) on the support S of y.
+    def support_columns(self, S: np.ndarray) -> np.ndarray | None:
+        """Rows (A + rho I)^{-1} e_i for the indices i in S.
 
         Solves the uncached columns in one batch. Returns None, and caches
         nothing, on a level without a cache or when they do not fit.
         """
         if self.cols is None:
             return None
-        S = np.flatnonzero(y)
         missing = S[self.slot[S] < 0]
         if missing.size:
             n, m = self.s.size, self.cols.shape[0]
@@ -98,7 +103,7 @@ class PenaltyFactorization:
             E[missing, np.arange(missing.size)] = 1.0
             self.cols = np.vstack([self.cols, self.solve(E).T])
             self.slot[missing] = np.arange(m, m + missing.size)
-        return y[S], self.cols[self.slot[S]]
+        return self.cols[self.slot[S]]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """(A + rho I)^{-1} b by one LAPACK potrs call.
@@ -139,12 +144,12 @@ def x_step(fact: PenaltyFactorization, spec: ProblemSpec, y: np.ndarray) -> np.n
     does not fit it (a dense y), it is one full O(n^2) backsolve.
     """
     y = np.asarray(y, dtype=float)
-    cached = fact.support_columns(y)
-    if cached is None:
+    S = np.flatnonzero(y)
+    W = fact.support_columns(S)
+    if W is None:
         u = fact.t + fact.solve(2.0 * fact.rho * y)
     else:
-        yS, W = cached
-        u = fact.t + (2.0 * fact.rho * yS) @ W
+        u = fact.t + (2.0 * fact.rho * y[S]) @ W
     beta_term = (1.0 - 0.5 * float(u.sum())) / (0.5 * fact.ets)
     x = 0.5 * (u + beta_term * fact.s)
     # pin e'x = 1 against round-off
@@ -202,6 +207,88 @@ def _merit(fact: PenaltyFactorization, spec: ProblemSpec, x: np.ndarray,
     return float(q)
 
 
+def _saddle_point(fact: PenaltyFactorization, spec: ProblemSpec,
+                  S: np.ndarray) -> np.ndarray | None:
+    """Minimizer x of q_rho over {e'x = 1, y = x on S, y = 0 off S}; None if singular.
+
+    There q_rho(x, y) = x'(A + rho I - rho E_S E_S')x - tau*mu'x, a convex
+    quadratic whose minimizer solves (A + rho I - rho E_S E_S')x =
+    (tau*mu - b*e)/2 with e'x = 1. Woodbury on the level's factorization:
+    multiplying by (A + rho I)^{-1}, as in the x-step, gives
+    x = t/2 - beta*s + rho*W'x_S (beta = b/2, W the rows (A + rho I)^{-1} e_i
+    for i in S), so x_S and beta solve the (|S|+1)-row system, scaled by rho,
+
+        [P   u  ] [x_S ]   [rho*t_S/2]
+        [u' -e's] [beta] = [1 - e't/2]
+
+    with u = rho*s_S and P = rho*A[S] W', which is rho^2 times Woodbury's
+    capacitance K = I/rho - W[:, S] but formed from A, without cancellation
+    at large rho. There, P is about A_SS and u about e_S. The budget direction u
+    and the rest of the support are solved apart, in an orthonormal basis
+    (q = u/|u|, Z): Z'PZ carries A_SS's curvature on the face and the 2 x 2
+    Schur system in (x_S along q, beta) carries the budget, so neither scale
+    swamps the other, however large rho or tau*mu is beside A. O(n*|S|^2 +
+    |S|^3), no new factorization. A singular Z'PZ (duplicate assets, a flat
+    face of A_SS) gives None.
+    """
+    W = fact.support_columns(S)
+    if W is None:
+        E = np.zeros((spec.n, S.size))
+        E[S, np.arange(S.size)] = 1.0
+        W = fact.solve(E).T
+    rho = fact.rho
+    P = rho * (spec.A[S] @ W.T)
+    P = 0.5 * (P + P.T)
+    u = rho * fact.s[S]
+    r1 = 0.5 * rho * fact.t[S]
+    r2 = 1.0 - 0.5 * fact.ett
+    Q = np.linalg.qr(u[:, None], mode="complete")[0]
+    q, Z = Q[:, 0], Q[:, 1:]  # Z'u = 0
+    Pq = P @ q
+    ZPq = Z.T @ Pq
+    w, V = np.linalg.eigh(Z.T @ P @ Z)  # empty for |S| = 1
+    if w.size and w[0] <= w.size * EPS * w[-1]:
+        return None
+    # x_S = q*alpha + Z(v0 - v1*alpha), from the Z rows
+    v0, v1 = (V @ ((V.T @ np.column_stack((Z.T @ r1, ZPq))) / w[:, None])).T
+    # q row and budget row: [a11 nu; nu -e's] [alpha; beta] = [b1; r2]
+    a11 = float(q @ Pq - ZPq @ v1)
+    b1 = float(q @ r1 - ZPq @ v0)
+    nu = float(q @ u)
+    det = -a11 * fact.ets - nu * nu  # < 0: a11 >= 0 is a Schur complement of PSD P
+    alpha = (-fact.ets * b1 - nu * r2) / det
+    beta = (a11 * r2 - nu * b1) / det
+    xS = q * alpha + Z @ (v0 - v1 * alpha)
+    x = 0.5 * fact.t - beta * fact.s + rho * (xS @ W)
+    x += (1.0 - x.sum()) / x.size
+    return x
+
+
+def _jump(fact: PenaltyFactorization, spec: ProblemSpec, S: np.ndarray,
+          tried: set[bytes], q_last: float):
+    """(x*, S, f(x*)) for the saddle point on S, or None to take the plain step.
+
+    Support indices where x* is nonpositive are dropped and the smaller
+    support is solved again. The candidate is accepted only when
+    q_rho(x*, y*) < q_last for y* = x* on S, zero off it: a jump that does
+    not lower q would only add two iterations. Each support is tried at most
+    once per level.
+    """
+    while S.size and S.tobytes() not in tried:
+        tried.add(S.tobytes())
+        x = _saddle_point(fact, spec, S)
+        if x is None:
+            return None
+        pos = x[S] > 0.0
+        if pos.all():
+            off = x.copy()
+            off[S] = 0.0
+            f = objective_f(spec, x)
+            return (x, S, f) if f + fact.rho * float(off @ off) < q_last else None
+        S = S[pos]
+    return None
+
+
 def bcd_inner(
     spec: ProblemSpec,
     rho: float,
@@ -211,11 +298,21 @@ def bcd_inner(
 ):
     """Alternate x/y steps at fixed rho until the relative-change rule fires.
 
+    Once an iteration leaves the support S of y unchanged, the next one takes
+    the saddle point of the level restricted to S (_saddle_point): the BCD
+    fixed point that the x/y steps would otherwise approach one small step at
+    a time. This jump replaces that iteration's x-step; its y-step, merit and
+    monotonicity check are as usual, and fact.jumps counts the accepted
+    jumps. The stopping rule is tested only on an x-step iteration that keeps
+    the support and finds no jump, so a converged level ends on an x-step.
+
     Returns (x, y, iterations, q_trace, converged). q_trace holds each
-    iteration's q_rho(x, y), evaluated by _merit without a dense A x, and is
-    checked non-increasing; an increase beyond round-off is an implementation
-    bug. The last entry is checked once against the exact penalty_q of the
-    returned pair, which catches a wrong x-step.
+    iteration's q_rho(x, y), evaluated by _merit without a dense A x (a jump
+    iteration evaluates f once), and is checked non-increasing; an increase
+    beyond round-off is an implementation bug. The last entry is checked once
+    against the exact penalty_q of the returned pair, and the x-step after a
+    jump whose y-step kept S must reproduce the jump; both catch a wrong
+    x-step.
     """
     if fact is None:
         fact = build_factorization(spec, rho)
@@ -224,22 +321,41 @@ def bcd_inner(
     q_trace: list[float] = []
     converged = False
     iterations = 0
+    tried: set[bytes] = set()
+    jump = None     # (x*, S, f(x*)) taken in place of the next x-step
+    confirm = False  # y is the jump's y*, so the next x-step must return x* = x
     for _ in range(cfg.max_inner):
-        x_new = x_step(fact, spec, y)
-        y_new = y_step(x_new, spec.k)
         iterations += 1
-        q = _merit(fact, spec, x_new, y, y_new)
+        if jump is None:
+            x_new = x_step(fact, spec, y)
+            if confirm and _relative_change(x_new, x) > MONOTONE_TOL:
+                raise MeritMismatch(f"x-step does not reproduce the jump at rho={rho}")
+            y_new = y_step(x_new, spec.k)
+            q = _merit(fact, spec, x_new, y, y_new)
+        else:
+            x_new, S_jump, f_jump = jump
+            y_new = y_step(x_new, spec.k)
+            d = x_new - y_new
+            q = f_jump + fact.rho * float(d @ d)
         if q_trace and q > q_trace[-1] + MONOTONE_TOL * (1.0 + abs(q)):
             raise MonotonicityViolation(
                 f"q increased from {q_trace[-1]:.12e} to {q:.12e} at rho={rho}"
             )
         q_trace.append(q)
-        if x is not None:
-            delta = max(_relative_change(x_new, x), _relative_change(y_new, y))
-            if delta <= cfg.eps_inner:
-                x, y = x_new, y_new
-                converged = True
-                break
+        S = np.flatnonzero(y_new)
+        confirm = jump is not None and np.array_equal(S, S_jump)
+        if jump is not None:
+            jump = None
+        elif np.array_equal(S, np.flatnonzero(y)):
+            jump = _jump(fact, spec, S, tried, q)
+            if jump is not None:
+                fact.jumps += 1
+            elif x is not None:
+                delta = max(_relative_change(x_new, x), _relative_change(y_new, y))
+                if delta <= cfg.eps_inner:
+                    x, y = x_new, y_new
+                    converged = True
+                    break
         x, y = x_new, y_new
     exact = penalty_q(spec, rho, x, y)
     if abs(exact - q_trace[-1]) > MONOTONE_TOL * (1.0 + abs(exact)):
@@ -437,8 +553,8 @@ def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solutio
         x, y, inner_iters, q_trace, _ = bcd_inner(spec, rho, y, cfg, fact=fact)
         infeas = float(np.abs(x - y).max())
         note = raised_note if j == 0 else ""
-        trace.append(OuterRecord(rho=rho, inner_iters=inner_iters,
-                                 q=q_trace[-1], infeas=infeas, note=note))
+        trace.append(OuterRecord(rho=rho, inner_iters=inner_iters, q=q_trace[-1],
+                                 infeas=infeas, note=note, jumps=fact.jumps))
         if infeas <= cfg.eps_outer:
             status = STATUS_CONVERGED
             break

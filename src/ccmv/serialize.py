@@ -103,7 +103,8 @@ def solution_from_dict(raw: dict) -> Solution:
             dual_feasibility_violation=rk["dual_violation"],
         )
     trace = [OuterRecord(rho=r["rho"], inner_iters=r["inner_iters"],
-                         q=r["q"], infeas=r["infeas"], note=r.get("note", ""))
+                         q=r["q"], infeas=r["infeas"], note=r.get("note", ""),
+                         jumps=int(r.get("jumps", 0)))
              for r in raw.get("trace", [])]
     return Solution(
         weights=np.array(raw["weights"], dtype=float),

@@ -129,6 +129,21 @@ class TestRollingHorizon:
         np.testing.assert_array_equal(report.weights_by_window[1],
                                       report.weights_by_window[0])
 
+    def test_failed_window_reason_recorded(self):
+        calls = {"n": 0}
+
+        def flaky(spec, cfg):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise NotPSD("smallest eigenvalue -1e-3")
+            return constant_weights_solver([1.0, 0.0])(spec, cfg)
+
+        rng = np.random.default_rng(103)
+        returns = ReturnsMatrix(rng.normal(0.0, 0.05, size=(7, 2)), ("A", "B"))
+        report = rolling_horizon(returns, BacktestConfig(window=3, tau=0.5, k=1), solve_fn=flaky)
+        assert report.failed_reasons == {4: "NotPSD: smallest eigenvalue -1e-3"}
+        assert report.to_dict()["failed_reasons"] == {"4": "NotPSD: smallest eigenvalue -1e-3"}
+
     @pytest.mark.parametrize("exc", [MonotonicityViolation("q increased"),
                                      RuntimeError("solver crashed")])
     def test_solver_fault_propagates(self, exc):

@@ -25,6 +25,35 @@ from ccmv.errors import (
 from ccmv.synthetic import factor_model_instance, monthly_returns_instance
 
 
+class TestFrozenInputs:
+    def test_spec_freezes_a_copy_not_the_callers_arrays(self):
+        A, mu = 2.0 * np.eye(3), np.array([0.1, 0.2, 0.3])
+        spec = ProblemSpec(A, mu, tau=1.0, k=2)
+        A[0, 0] = 5.0  # the caller can still write into its own arrays
+        mu[0] = 0.9
+        assert spec.A[0, 0] == 2.0 and spec.mu[0] == 0.1
+        with pytest.raises(ValueError):
+            spec.A[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            spec.mu[0] = 1.0
+
+    def test_returns_freeze_a_copy_not_the_callers_array(self):
+        R = np.array([[0.01, 0.02], [0.03, -0.01]])
+        returns = ReturnsMatrix(R, ("A", "B"))
+        R[0, 0] = 0.5
+        assert returns.values[0, 0] == 0.01
+        with pytest.raises(ValueError):
+            returns.values[0, 0] = 0.0
+
+    def test_read_only_input_is_not_copied(self):
+        A = np.eye(2)
+        A.setflags(write=False)
+        R = np.ones((2, 2))
+        R.setflags(write=False)
+        assert ProblemSpec(A, np.zeros(2), tau=1.0, k=1).A is A
+        assert ReturnsMatrix(R, ("A", "B")).values is R
+
+
 class TestReturnsMatrix:
     def test_single_period_rejected(self):
         with pytest.raises(InsufficientData):

@@ -32,6 +32,22 @@ from ccmv.synthetic import (
 from conftest import assert_feasible, degenerate_specs, enumerate_restricted_qp
 
 
+def restricted_kkt_solve(spec, rho, support):
+    """Dense reference for a jump: minimize q_rho with y = x on the support, 0 off it.
+
+    That is x'(A + rho*D)x - tau*mu'x over {e'x = 1}, D the 0/1 diagonal of
+    the off-support indices, solved as one (n+1)-row equality-KKT system.
+    """
+    n = spec.n
+    off = np.ones(n)
+    off[list(support)] = 0.0
+    K = np.zeros((n + 1, n + 1))
+    K[:n, :n] = 2.0 * (spec.A + rho * np.diag(off))
+    K[:n, n] = 1.0
+    K[n, :n] = 1.0
+    return np.linalg.solve(K, np.append(spec.tau * spec.mu, 1.0))[:n]
+
+
 def kkt_linear_solve(spec, rho, y):
     """Dense equality-KKT reference for the x-step: assemble and solve directly."""
     n = spec.n
@@ -245,6 +261,77 @@ class TestBcdInner:
         y0 = y_step(dense_simplex_minimizer(spec), spec.k)
         with pytest.raises(MeritMismatch):
             bcd_inner(spec, 10.0, y0, SolverConfig())
+
+
+def _jump_spec(kind, seed):
+    if kind == "random":
+        return random_psd_instance(n=12, k=4, seed=seed)
+    if kind == "rank_deficient":  # estimation window shorter than the asset count
+        return monthly_returns_instance(60, 6, seed=seed, periods=30)
+    return factor_model_instance(226, 10, seed=seed)
+
+
+@st.composite
+def degenerate_levels(draw):
+    """A degenerate instance with k drawn from 1..n, and one penalty level."""
+    spec = draw(degenerate_specs(10))
+    k = draw(st.integers(1, spec.n))
+    return ProblemSpec(spec.A, spec.mu, spec.tau, k), draw(st.sampled_from(["floor", 1e4, 1e6]))
+
+
+class TestJump:
+    @pytest.mark.parametrize("kind", ["random", "rank_deficient", "scale"])
+    @pytest.mark.parametrize("rho", ["floor", 1e4, 1e6])
+    def test_saddle_point_matches_dense_kkt_solve(self, kind, rho):
+        for seed in range(3):
+            spec = _jump_spec(kind, seed)
+            r = validate_problem(spec) + 1.0 if rho == "floor" else rho
+            fact = build_factorization(spec, r)
+            seed_support = np.flatnonzero(y_step(dense_simplex_minimizer(spec), spec.k))
+            other = np.sort(np.random.default_rng(seed).choice(spec.n, spec.k, replace=False))
+            for S in (seed_support, other):
+                x = pd._saddle_point(fact, spec, S)
+                np.testing.assert_allclose(x, restricted_kkt_solve(spec, r, S), rtol=0, atol=1e-10)
+
+    def test_uncached_level_matches_dense_kkt_solve(self):
+        # k > n // CACHE_DIVISOR: the level keeps no column cache
+        spec = random_psd_instance(n=12, k=8, seed=5)
+        fact = build_factorization(spec, validate_problem(spec) + 1.0)
+        assert fact.cols is None
+        S = np.arange(0, 12, 2)
+        np.testing.assert_allclose(pd._saddle_point(fact, spec, S),
+                                   restricted_kkt_solve(spec, fact.rho, S), rtol=0, atol=1e-10)
+
+    def test_duplicate_assets_fall_back(self):
+        # two identical assets on the support: the restricted problem has a flat face
+        spec = ProblemSpec(np.ones((2, 2)), np.array([0.1, 0.1]), tau=1.0, k=2)
+        fact = build_factorization(spec, validate_problem(spec) + 1.0)
+        assert pd._saddle_point(fact, spec, np.array([0, 1])) is None
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rank_deficient_window_needs_few_iterations(self, seed):
+        # the backtest's instance type: 100 assets, 60 periods, k = 10
+        sol = ccmv_pd_solve(monthly_returns_instance(100, 10, seed=seed))
+        assert sum(r.jumps for r in sol.trace) >= 1
+        assert sum(r.inner_iters for r in sol.trace) <= 50
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(degenerate_levels())
+    def test_converged_level_is_bcd_fixed_point(self, case):
+        spec, rho = case
+        r = validate_problem(spec) + 1.0 if rho == "floor" else rho
+        cfg = SolverConfig()
+        fact = build_factorization(spec, r)
+        y0 = y_step(dense_simplex_minimizer(spec), spec.k)
+        _, y, _, q_trace, converged = bcd_inner(spec, r, y0, cfg, fact=fact)
+        for a, b in zip(q_trace, q_trace[1:]):
+            assert b <= a + 1e-9 * (1.0 + abs(b))
+        if converged:
+            y_next = y_step(x_step(fact, spec, y), spec.k)
+            # a level that jumped ends on the saddle point; one whose jumps all
+            # fell back (singular restricted problem) is a fixed point to eps_inner
+            tol = 1e-9 if fact.jumps else cfg.eps_inner
+            assert pd._relative_change(y_next, y) <= tol
 
 
 class TestPolishSupport:

@@ -16,7 +16,7 @@ from ccmv.serialize import (
     write_trace_csv,
     write_weights_csv,
 )
-from ccmv.synthetic import random_psd_instance
+from ccmv.synthetic import monthly_returns_instance, random_psd_instance
 
 
 class TestReturnsCsv:
@@ -111,6 +111,15 @@ class TestSolutionJson:
         back = solution_from_dict(json.loads(text))
         assert np.isnan(back.upsilon)
         assert back.wall_time == sol.wall_time
+
+    def test_jumps_roundtrip(self):
+        sol = ccmv_pd_solve(monthly_returns_instance(100, 10, seed=0))
+        jumps = [r.jumps for r in sol.trace]
+        assert any(jumps)
+        raw = json.loads(solution_to_json(sol))
+        # written only for a level that jumped, as note is written only when set
+        assert ["jumps" in r for r in raw["trace"]] == [j > 0 for j in jumps]
+        assert [r.jumps for r in solution_from_dict(raw).trace] == jumps
 
     def test_oracle_solution_without_kkt(self):
         raw = {"weights": [1.0, 0.0], "support": [0], "objective": 0.5,
