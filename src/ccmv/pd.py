@@ -10,8 +10,9 @@ penalty subproblem on S) in closed form from the level's factorization,
 rather than approaching it one step at a time. Outer loop: geometric
 penalty growth with a level-set safeguard. The discovered support and the seed's support are
 then polished by the same finite primal active-set solve of the convex QP
-restricted to a support (exact for any support size); the better result is
-returned with a KKT certificate.
+restricted to a support (exact for any support size), which keeps a Cholesky
+factor of its reduced Hessian and extends it by one row as an index enters;
+the better result is returned with a KKT certificate.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, LinAlgError
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import BadSupport, MeritMismatch, MonotonicityViolation, NumericalBreakdown
 from .model import (
@@ -224,12 +225,15 @@ def _saddle_point(fact: PenaltyFactorization, spec: ProblemSpec,
     with u = rho*s_S and P = rho*A[S] W', which is rho^2 times Woodbury's
     capacitance K = I/rho - W[:, S] but formed from A, without cancellation
     at large rho. There, P is about A_SS and u about e_S. The budget direction u
-    and the rest of the support are solved apart, in an orthonormal basis
-    (q = u/|u|, Z): Z'PZ carries A_SS's curvature on the face and the 2 x 2
-    Schur system in (x_S along q, beta) carries the budget, so neither scale
-    swamps the other, however large rho or tau*mu is beside A. O(n*|S|^2 +
-    |S|^3), no new factorization. A singular Z'PZ (duplicate assets, a flat
-    face of A_SS) gives None.
+    and the rest of the support are solved apart, in the orthonormal basis
+    [q, Z] = Q of the Householder reflector Q that maps u onto its first
+    axis: Z'PZ carries A_SS's curvature on the face and the 2 x 2 Schur
+    system in (x_S along q, beta) carries the budget, so neither scale swamps
+    the other, however large rho or tau*mu is beside A. Z'PZ is solved by
+    its Cholesky factor. No new factorization of the level: O(n*|S|^2) to
+    form P and O(|S|^3) for the reflection and the factor. Z'PZ singular to
+    round-off, a Cholesky pivot at most |S|*EPS times P's largest diagonal
+    entry (duplicate assets, a flat face of A_SS), gives None.
     """
     W = fact.support_columns(S)
     if W is None:
@@ -242,23 +246,27 @@ def _saddle_point(fact: PenaltyFactorization, spec: ProblemSpec,
     u = rho * fact.s[S]
     r1 = 0.5 * rho * fact.t[S]
     r2 = 1.0 - 0.5 * fact.ett
-    Q = np.linalg.qr(u[:, None], mode="complete")[0]
-    q, Z = Q[:, 0], Q[:, 1:]  # Z'u = 0
-    Pq = P @ q
-    ZPq = Z.T @ Pq
-    w, V = np.linalg.eigh(Z.T @ P @ Z)  # empty for |S| = 1
-    if w.size and w[0] <= w.size * EPS * w[-1]:
-        return None
-    # x_S = q*alpha + Z(v0 - v1*alpha), from the Z rows
-    v0, v1 = (V @ ((V.T @ np.column_stack((Z.T @ r1, ZPq))) / w[:, None])).T
+    nu = -np.copysign(np.linalg.norm(u), u[0])  # Qu = nu*e_0, so q'u = nu and Z'u = 0
+    h = u.copy()
+    h[0] -= nu
+    Q = np.eye(S.size) - (2.0 / (h @ h)) * np.outer(h, h)
+    QPQ = Q @ P @ Q
+    Qr1 = Q @ r1
+    ZPq = QPQ[1:, 0]
+    v0 = v1 = np.zeros(0)  # Z is empty for |S| = 1
+    if S.size > 1:
+        L, info = dpotrf(QPQ[1:, 1:], lower=1)
+        if info or np.diag(L).min() ** 2 <= S.size * EPS * np.abs(np.diag(P)).max():
+            return None
+        # x_S = q*alpha + Z(v0 - v1*alpha), from the Z rows
+        v0, v1 = dpotrs(L, np.column_stack((Qr1[1:], ZPq)), lower=1)[0].T
     # q row and budget row: [a11 nu; nu -e's] [alpha; beta] = [b1; r2]
-    a11 = float(q @ Pq - ZPq @ v1)
-    b1 = float(q @ r1 - ZPq @ v0)
-    nu = float(q @ u)
+    a11 = float(QPQ[0, 0] - ZPq @ v1)
+    b1 = float(Qr1[0] - ZPq @ v0)
     det = -a11 * fact.ets - nu * nu  # < 0: a11 >= 0 is a Schur complement of PSD P
     alpha = (-fact.ets * b1 - nu * r2) / det
     beta = (a11 * r2 - nu * b1) / det
-    xS = q * alpha + Z @ (v0 - v1 * alpha)
+    xS = Q @ np.concatenate(([alpha], v0 - v1 * alpha))
     x = 0.5 * fact.t - beta * fact.s + rho * (xS @ W)
     x += (1.0 - x.sum()) / x.size
     return x
@@ -379,9 +387,16 @@ def _active_set(spec: ProblemSpec, idx: np.ndarray) -> np.ndarray:
     with a zero-curvature direction (duplicate assets, rank-deficient A_idx)
     is crossed along it to the first blocking bound.
 
-    z is zero off F, so the gradient needs only the |F| rows of A on F, and
-    the face needs only its |F| x |F| block: a step costs O(n*|F| + |F|^3),
-    whatever the size of idx.
+    A face is solved in the anchor basis Z = [e_j - e_a] of {e'p = 0}, with
+    a the first entry of F, through the lower Cholesky factor L of
+    M = Z'H_FF Z. Row and column 0 of M, the anchor's own slot, are zero and
+    are kept as the identity, so L is never empty, and p_a = -(sum of the
+    other entries of p). A release appends one row to L from one triangular
+    solve; its pivot is the curvature along the face's new direction, so a
+    zero-curvature direction shows there. A drop refactors the smaller face.
+    z is zero off F, so the gradient needs only the rows of H on F, each
+    gathered once, when its index is released. A step costs
+    O(|idx|*|F| + |F|^2), and a drop O(|F|^3) more.
     """
     A = spec.A
     m = idx.size
@@ -389,44 +404,66 @@ def _active_set(spec: ProblemSpec, idx: np.ndarray) -> np.ndarray:
     c = spec.tau * spec.mu[idx]
     # A is PSD, so the largest |H_ij| sits on the diagonal
     h_scale = float(np.abs(d).max())
-    # round-off level of the gradient and of the reduced Hessian's eigenvalues
+    # round-off level of the gradient and of the curvature of M along a unit p
     g_tol = 64.0 * m * EPS * (1.0 + h_scale + float(np.abs(c).max()))
     curv_tol = 64.0 * m * EPS * h_scale
     z = np.zeros(m)
-    z[int(np.argmin(0.5 * d - c))] = 1.0
-    free = z > 0.0
+    F = np.empty(m, dtype=np.intp)  # free positions in idx, in the order of H's rows
+    F[0] = int(np.argmin(0.5 * d - c))
+    z[F[0]] = 1.0
+    H = np.empty((min(m, 16), m))  # row r: row F[r] of H = 2*A_idx; grows by doubling
+    H[0] = 2.0 * A[idx[F[0]], idx]
+    L = np.ones((1, 1))
+    nf = 1
     at_face_min = True
     for _ in range(POLISH_STEPS_PER_ASSET * m):
-        F = np.flatnonzero(free)
-        g = 2.0 * (z[F] @ A[idx[F]])[idx] - c  # A_idx,F z_F from rows of the symmetric A
+        g = z[F[:nf]] @ H[:nf] - c
+        newton = True
         if at_face_min:
-            lam = g - g[F].mean()  # g_i + beta, with beta from g_F + beta*e = 0
-            lam[F] = 0.0
+            lam = g - g[F[:nf]].mean()  # g_i + beta, with beta from g_F + beta*e = 0
+            lam[F[:nf]] = 0.0
             i = int(np.argmin(lam))
             if lam[i] >= -g_tol:
                 break
-            free[i] = True
-            F = np.flatnonzero(free)
-        Z = np.linalg.qr(np.ones((F.size, 1)), mode="complete")[0][:, 1:]  # basis of e'p = 0
-        w, V = np.linalg.eigh(Z.T @ (2.0 * A[np.ix_(idx[F], idx[F])]) @ Z)
-        a = V.T @ (Z.T @ g[F])
-        flat = w <= curv_tol
-        if np.abs(a[flat]).max(initial=0.0) > g_tol:
-            # zero-curvature descent: f falls linearly along p until a bound blocks
-            p = -Z @ (V[:, flat] @ a[flat])
-            full = np.inf
-        else:
-            p = -Z @ (V[:, ~flat] @ (a[~flat] / w[~flat]))  # Newton step to the face minimizer
-            full = 1.0
+            if nf == H.shape[0]:
+                H = np.vstack((H, np.empty((min(nf, m - nf), m))))
+            a = F[0]
+            F[nf], H[nf] = i, 2.0 * A[idx[i], idx]
+            w = dtrtrs(L, H[:nf, i] - H[:nf, a] - H[0, i] + H[0, a], lower=1)[0]
+            pivot = d[i] - 2.0 * H[0, i] + H[0, a] - w @ w
+            # the face's new direction with least curvature (pivot); f falls along it at lam_i
+            p = np.append(-dtrtrs(L, w, lower=1, trans=1)[0], 1.0)
+            p[0] = -p.sum()
+            nf += 1
+            newton = pivot > curv_tol * (p @ p)
+            if newton:
+                L_new = np.zeros((nf, nf), order="F")
+                L_new[:-1, :-1], L_new[-1, :-1], L_new[-1, -1] = L, w, np.sqrt(pivot)
+                L = L_new
+        Fv = F[:nf]
+        if newton:  # to the face minimizer
+            p = -dpotrs(L, g[Fv] - g[Fv[0]], lower=1)[0]
+            p[0] = -p.sum()
+        full = 1.0 if newton else np.inf
         neg = np.flatnonzero(p < 0.0)
-        ratios = z[F[neg]] / -p[neg]
+        ratios = z[Fv[neg]] / -p[neg]
         blocked = ratios.size > 0 and ratios.min() < full
         alpha = ratios.min() if blocked else full
-        z[F] = np.maximum(z[F] + alpha * p, 0.0)
+        z[Fv] = np.maximum(z[Fv] + alpha * p, 0.0)
         if blocked:
-            j = F[neg[int(np.argmin(ratios))]]
-            z[j] = 0.0
-            free[j] = False
+            j = neg[int(np.argmin(ratios))]
+            z[F[j]] = 0.0
+            nf -= 1
+            F[j], H[j] = F[nf], H[nf]
+            # in exact arithmetic the smaller face is positive definite: it is
+            # part of a positive definite face, or, after a flat step, it lost
+            # the flat direction with the blocking index
+            Hf = H[:nf, F[:nf]]
+            M = Hf - Hf[:, :1] - Hf[:1] + Hf[0, 0]  # Z'H_FF Z; row and column 0 vanish
+            M[0, 0] = 1.0
+            L, info = dpotrf(M, lower=1, clean=1)
+            if info:
+                raise NumericalBreakdown(f"reduced Hessian of a {nf}-asset face is not positive definite")
         at_face_min = not blocked
     else:
         raise NumericalBreakdown(f"active-set solve did not terminate on {m} assets")
@@ -442,8 +479,9 @@ def polish_support(spec: ProblemSpec, support) -> tuple[np.ndarray, float]:
 
     Returns (x, f(x)) for the global minimizer x of the convex QP
     min x'Ax - tau*mu'x over {e'x = 1, x >= 0, x_i = 0 off the support}, found
-    by the finite active-set kernel _active_set. Each of its steps costs
-    O(n*|F| + |F|^3) on its free set F, for any support size.
+    by the finite active-set kernel _active_set. On its free set F, a step
+    costs O(|S|*|F| + |F|^2) from a Cholesky factor updated as an index
+    enters, and a drop O(|F|^3) more, for any support size |S|.
     """
     support = tuple(sorted(int(i) for i in support))
     if not support:

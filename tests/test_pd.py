@@ -10,6 +10,7 @@ from ccmv import (
     bcd_inner,
     brute_force_solve,
     build_factorization,
+    ccmv_padm_solve,
     ccmv_pd_solve,
     kkt_check,
     max_eigenvalue,
@@ -308,6 +309,23 @@ class TestJump:
         fact = build_factorization(spec, validate_problem(spec) + 1.0)
         assert pd._saddle_point(fact, spec, np.array([0, 1])) is None
 
+    def test_duplicate_pair_falls_back_on_random_faces(self):
+        # Z'PZ is 1 x 1 here and zero only up to round-off: the singularity
+        # test must be relative to P, not to Z'PZ itself, or the solve returns
+        # a "saddle point" with entries near 1e16
+        rng = np.random.default_rng(0)
+        for case in range(1200):
+            n = int(rng.integers(2, 7))
+            G = (1e-2, 1.0)[case % 2] * rng.standard_normal((n, n))
+            G[-1] = G[0]
+            mu = rng.uniform(0.0, 0.2, n)
+            mu[-1] = mu[0]
+            A = G @ G.T / n
+            spec = ProblemSpec(0.5 * (A + A.T), mu, tau=10.0 ** rng.uniform(-3.0, 3.0), k=n)
+            rho = (validate_problem(spec) + 1.0, 1e4, 1e6)[(case // 2) % 3]
+            fact = build_factorization(spec, rho)
+            assert pd._saddle_point(fact, spec, np.array([0, n - 1])) is None, case
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rank_deficient_window_needs_few_iterations(self, seed):
         # the backtest's instance type: 100 assets, 60 periods, k = 10
@@ -411,6 +429,70 @@ class TestPolishSupportProperty:
         assert abs(fx - f_ref) <= 1e-9 * (1.0 + abs(f_ref))
         assert fx == objective_f(spec, x)
         assert x.min() >= 0.0
+        assert_feasible(spec, x, support, k=len(support))
+        assert kkt_check(spec, x, support).max_residual <= 1e-8
+
+
+def _assert_restricted_optimum(spec, support):
+    x, fx = polish_support(spec, support)
+    _, f_ref = enumerate_restricted_qp(spec, support)
+    assert abs(fx - f_ref) <= 1e-12
+    assert_feasible(spec, x, support, k=len(support))
+    assert kkt_check(spec, x, support).max_residual <= 1e-8
+    return x
+
+
+@st.composite
+def degenerate_supports(draw):
+    """A degenerate instance with up to 40 assets, plus a support of it."""
+    spec = draw(degenerate_specs(40))
+    size = draw(st.integers(1, spec.n))
+    return spec, tuple(sorted(draw(st.permutations(range(spec.n)))[:size]))
+
+
+class TestActiveSetKernel:
+    def test_runs_without_eigh_or_qr(self, monkeypatch):
+        # the kernel and the jump factor by Cholesky alone; PD (seed, BCD,
+        # polish), padm (seed, polish) and the oracle (a kernel solve per
+        # support) must complete without either routine
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg.eigh / np.linalg.qr called")
+
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(np.linalg, "qr", forbidden)
+        for spec in (factor_model_instance(226, 10, seed=0), monthly_returns_instance(100, 10, seed=0)):
+            sol = ccmv_pd_solve(spec)
+            assert sum(r.jumps for r in sol.trace) >= 1
+            assert sol.kkt_residual <= 1e-8
+        assert ccmv_padm_solve(factor_model_instance(226, 10, seed=0)).kkt_residual <= 1e-8
+        spec = factor_model_instance(8, 3, seed=0)
+        res = brute_force_solve(spec)
+        assert kkt_check(spec, res.x, res.support).max_residual <= 1e-8
+
+    def test_zero_curvature_entry(self):
+        # A = gg' has rank one: from the face {2, 0}, asset 1 enters along the
+        # flat direction (1, 1, -2), which f descends linearly until x_2 = 0
+        g = np.array([1.0, -1.0, 0.0])
+        spec = ProblemSpec(np.outer(g, g), np.array([0.1, 0.1, 0.0]), tau=1.0, k=3)
+        x = _assert_restricted_optimum(spec, (0, 1, 2))
+        np.testing.assert_allclose(x, [0.5, 0.5, 0.0], rtol=0, atol=1e-15)
+
+    def test_start_vertex_leaves_free_set(self):
+        # asset 0 is the best single asset, but assets 1 and 2 hedge each
+        # other exactly: the face minimizer over all three has x_0 < 0, so the
+        # starting vertex (the anchor of the face basis) is dropped
+        A = np.array([[1.0, 0.0, 0.0], [0.0, 1.1, -1.1], [0.0, -1.1, 1.1]])
+        spec = ProblemSpec(A, np.array([0.0, 0.05, 0.05]), tau=1.0, k=3)
+        assert int(np.argmin(np.diag(A) - spec.tau * spec.mu)) == 0
+        x = _assert_restricted_optimum(spec, (0, 1, 2))
+        np.testing.assert_allclose(x, [0.0, 0.5, 0.5], rtol=0, atol=1e-15)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(degenerate_supports())
+    def test_kkt_certified_on_degenerate_supports(self, case):
+        # a KKT point of this convex QP is its global minimum
+        spec, support = case
+        x, _ = polish_support(spec, support)
         assert_feasible(spec, x, support, k=len(support))
         assert kkt_check(spec, x, support).max_residual <= 1e-8
 
@@ -540,6 +622,33 @@ class TestCcmvPdSolve:
         assert sol.status == STATUS_CONVERGED
         assert sol.trace[-1].infeas <= 1e-4
         assert sol.kkt_residual <= 1e-6
+
+    # support, objective, and inner iterations and jumps per level; the linear
+    # algebra of the kernel and the jump may change their cost, not these
+    REFERENCE_PATHS = {
+        ("factor", 0): ((46, 83, 94, 109, 110, 126, 131, 140, 194, 203), -0.04340262146156829,
+                        (3, 3, 3), (1, 1, 1)),
+        ("factor", 1): ((7, 22, 49, 100, 118, 126, 127, 159, 163, 164), -0.04535234697344744,
+                        (3, 3, 3), (1, 1, 1)),
+        ("factor", 2): ((32, 76, 84, 109, 126, 144, 182, 191, 198, 200), -0.04295355474573491,
+                        (3, 3, 3), (1, 1, 1)),
+        ("monthly", 0): ((7, 33, 52, 80, 94), -0.0174788454032018, (6, 5, 3), (2, 2, 1)),
+        ("monthly", 1): ((3, 20, 51, 79, 84, 99), -0.011512441676773446, (8, 7, 3), (3, 3, 1)),
+        ("monthly", 2): ((1, 4, 16, 32, 44, 53), -0.018483392702032253, (6, 7, 3, 3), (2, 3, 1, 1)),
+    }
+
+    @pytest.mark.parametrize("kind, seed", sorted(REFERENCE_PATHS))
+    def test_same_path_as_reference(self, kind, seed):
+        if kind == "factor":
+            spec = factor_model_instance(226, 10, seed=seed)
+        else:
+            spec = monthly_returns_instance(100, 10, seed=seed)
+        support, f, iters, jumps = self.REFERENCE_PATHS[kind, seed]
+        sol = ccmv_pd_solve(spec)
+        assert sol.support == support
+        assert abs(sol.objective - f) <= 1e-10 * (1.0 + abs(f))
+        assert tuple(r.inner_iters for r in sol.trace) == iters
+        assert tuple(r.jumps for r in sol.trace) == jumps
 
     def test_deterministic(self):
         spec = random_psd_instance(n=9, k=3, seed=13)
