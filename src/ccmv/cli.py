@@ -214,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps-outer", type=float, default=1e-4, dest="eps_outer")
         p.add_argument("--max-inner", type=int, default=1000, dest="max_inner")
         p.add_argument("--max-outer", type=int, default=50, dest="max_outer")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output path (stdout if omitted)")
         p.add_argument("--emit", choices=["json", "csv"], default="json")
 
@@ -240,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="timing sweep on seeded synthetic instances")
     common(p_bench)
     p_bench.add_argument("--sizes", type=int, nargs="+", default=[226, 476])
+    p_bench.add_argument("--seed", type=int, default=0, help="factor_model_instance seed")
     p_bench.add_argument("--solvers", nargs="+", default=["pd", "padm"],
                          choices=["pd", "padm"])
     p_bench.add_argument("--k-sweep", dest="k_sweep", type=int, nargs="+")

@@ -161,3 +161,12 @@ class TestParsing:
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
+
+    def test_seed_only_on_bench(self, tmp_path):
+        # only bench builds seeded instances; the other commands read their data
+        spec_path, _ = make_spec_file(tmp_path)
+        for command in ("solve", "compare"):
+            assert main([command, "--spec", str(spec_path), "--seed", "1"]) == EXIT_INPUT_ERROR
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--sizes", "8", "--k-sweep", "2", "--solvers", "pd",
+                     "--seed", "1", "--out", str(out)]) == EXIT_OK

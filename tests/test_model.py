@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ccmv import (
     ProblemSpec,
     ReturnsMatrix,
     SolverConfig,
+    ccmv_pd_solve,
     estimate_moments,
     make_feasible_point,
     max_eigenvalue,
@@ -22,6 +24,7 @@ from ccmv.errors import (
     InsufficientData,
     NotPSD,
 )
+from ccmv.model import EIGVALSH_MAX_N
 from ccmv.synthetic import factor_model_instance, monthly_returns_instance
 
 
@@ -134,9 +137,68 @@ class TestValidateProblem:
     @pytest.mark.parametrize("spec", [
         factor_model_instance(226, 10, seed=0),
         monthly_returns_instance(100, 10, seed=0),  # rank-deficient
-    ], ids=["factor-226", "monthly-100"])
+        factor_model_instance(1000, 10, seed=0),
+    ], ids=["factor-226", "monthly-100", "factor-1000"])
     def test_returns_top_eigenvalue(self, spec):
-        assert validate_problem(spec) == np.linalg.eigvalsh(spec.A)[-1]
+        top = np.linalg.eigvalsh(spec.A)[-1]
+        if spec.n <= EIGVALSH_MAX_N:  # one eigvalsh answers both questions
+            assert validate_problem(spec) == top
+        else:  # Lanczos stops at round-off
+            assert validate_problem(spec) == pytest.approx(top, rel=1e-12)
+
+
+def _with_spectrum(evals, seed=0) -> np.ndarray:
+    """Symmetric matrix Q diag(evals) Q' for a seeded random orthogonal Q."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(evals), len(evals))))
+    A = (Q * evals) @ Q.T
+    return 0.5 * (A + A.T)
+
+
+class TestValidateProblemAboveCrossover:
+    N = 300  # Lanczos for lambda_max, one shifted Cholesky for the PSD test
+
+    def spec(self, A):
+        assert A.shape[0] > EIGVALSH_MAX_N
+        return ProblemSpec(A, np.linspace(0.0, 0.1, A.shape[0]), tau=0.5, k=10)
+
+    def spectrum(self, lam_min):
+        return np.concatenate(([lam_min], np.linspace(0.0, 2.0, self.N - 1)))
+
+    def test_small_negative_eigenvalue_rejected(self):
+        # the PSD bound is -PSD_TOL * lambda_max = -2e-10
+        with pytest.raises(NotPSD):
+            validate_problem(self.spec(_with_spectrum(self.spectrum(-1e-8 * 2.0))))
+
+    def test_round_off_negative_eigenvalue_admitted(self):
+        A = _with_spectrum(self.spectrum(-1e-12 * 2.0))
+        assert validate_problem(self.spec(A)) == pytest.approx(2.0, rel=1e-12)
+
+    def test_rank_deficient_sample_covariance_admitted(self):
+        spec = monthly_returns_instance(self.N, 10, seed=0, periods=60)  # rank 59
+        assert validate_problem(spec) == pytest.approx(np.linalg.eigvalsh(spec.A)[-1], rel=1e-12)
+
+    def test_negative_definite_rejected(self):
+        G = np.random.default_rng(1).standard_normal((self.N, self.N))
+        with pytest.raises(NotPSD):
+            validate_problem(self.spec(-(G @ G.T / self.N + np.eye(self.N))))
+
+    def test_independent_of_global_random_state(self):
+        spec = factor_model_instance(self.N, 10, seed=0)
+        np.random.seed(1)
+        first = validate_problem(spec)
+        np.random.seed(2)
+        np.random.standard_normal(self.N)
+        assert validate_problem(spec) == first
+
+    def test_pd_solve_without_dense_eigensolvers(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense eigensolver called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(scipy.linalg, "eigh", forbidden)
+        sol = ccmv_pd_solve(factor_model_instance(1000, 10, seed=0))
+        assert sol.kkt_residual <= 1e-8
 
 
 class TestSolverConfig:
@@ -178,6 +240,18 @@ class TestMaxEigenvalue:
         v = np.array([1.0, -1.0]) / np.sqrt(2)
         A = 5.0 * np.outer(v, v) + np.eye(2)
         assert max_eigenvalue(A) == pytest.approx(6.0, rel=1e-6)
+
+    def test_negative_definite(self):
+        # the largest eigenvalue, not the largest in magnitude
+        assert max_eigenvalue(np.diag([-1.0, -3.0, -2.0])) == pytest.approx(-1.0, rel=1e-12)
+
+    def test_one_by_one_and_zero(self):
+        assert max_eigenvalue(np.array([[2.5]])) == 2.5
+        assert max_eigenvalue(np.zeros((4, 4))) == 0.0
+
+    def test_uniform_spectrum(self):
+        # no gap at the top: the Ritz value takes about 160 steps to settle
+        assert max_eigenvalue(np.diag(np.linspace(0.0, 1.0, 400))) == pytest.approx(1.0, rel=1e-12)
 
     def test_nearly_tied_top_eigenvalues(self):
         # the top two eigenvalues differ by a relative 1.6e-4, which power

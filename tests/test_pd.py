@@ -635,14 +635,19 @@ class TestCcmvPdSolve:
         ("monthly", 0): ((7, 33, 52, 80, 94), -0.0174788454032018, (6, 5, 3), (2, 2, 1)),
         ("monthly", 1): ((3, 20, 51, 79, 84, 99), -0.011512441676773446, (8, 7, 3), (3, 3, 1)),
         ("monthly", 2): ((1, 4, 16, 32, 44, 53), -0.018483392702032253, (6, 7, 3, 3), (2, 3, 1, 1)),
+        # the benchmark's scale size, where lambda_max comes from Lanczos
+        ("factor-1000", 0): ((58, 72, 255, 278, 530, 557, 611, 857, 894, 977), -0.023137433575944475,
+                             (3, 3, 3), (1, 1, 1)),
+    }
+    INSTANCES = {
+        "factor": lambda seed: factor_model_instance(226, 10, seed=seed),
+        "monthly": lambda seed: monthly_returns_instance(100, 10, seed=seed),
+        "factor-1000": lambda seed: factor_model_instance(1000, 10, seed=seed),
     }
 
     @pytest.mark.parametrize("kind, seed", sorted(REFERENCE_PATHS))
     def test_same_path_as_reference(self, kind, seed):
-        if kind == "factor":
-            spec = factor_model_instance(226, 10, seed=seed)
-        else:
-            spec = monthly_returns_instance(100, 10, seed=seed)
+        spec = self.INSTANCES[kind](seed)
         support, f, iters, jumps = self.REFERENCE_PATHS[kind, seed]
         sol = ccmv_pd_solve(spec)
         assert sol.support == support
