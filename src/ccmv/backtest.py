@@ -16,25 +16,23 @@ from .model import (
     SolverConfig,
     estimate_moments,
 )
+from .pd import ccmv_pd_solve
 
 log = logging.getLogger("ccmv")
 
 
 @dataclass(frozen=True)
 class BacktestConfig:
-    """Rolling-horizon settings: window length, solver choice, instance knobs."""
+    """Rolling-horizon settings: window length, instance knobs, solver settings."""
 
     window: int
     tau: float
     k: int
-    solver_kind: str = "pd"
     solver_cfg: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
         if self.window < 2:
             raise BadConfig(f"estimation window must be >= 2, got {self.window}")
-        if self.solver_kind not in ("pd", "padm", "oracle"):
-            raise BadConfig(f"unknown solver kind {self.solver_kind!r}")
 
 
 @dataclass
@@ -89,31 +87,17 @@ def gap(g: float, g_hat: float) -> float:
     return abs(g - g_hat) / (abs(g_hat) + 1.0)
 
 
-def _default_solver(kind: str) -> Callable[[ProblemSpec, SolverConfig], Solution]:
-    if kind == "pd":
-        from .pd import ccmv_pd_solve
-        return ccmv_pd_solve
-    if kind == "padm":
-        from .padm import ccmv_padm_solve
-        return ccmv_padm_solve
-    from .oracle import brute_force_solve
-
-    def _oracle(spec: ProblemSpec, _cfg: SolverConfig) -> Solution:
-        return brute_force_solve(spec).to_solution()
-
-    return _oracle
-
-
 def rolling_horizon(
     returns: ReturnsMatrix,
     cfg: BacktestConfig,
-    solve_fn: Callable[[ProblemSpec, SolverConfig], Solution] | None = None,
+    solve_fn: Callable[[ProblemSpec, SolverConfig], Solution] = ccmv_pd_solve,
 ) -> BacktestReport:
     """Slide a fixed-length estimation window, rebalance each period, realize
     the next period's return.
 
     Window t uses rows t-window..t-1 (0-based) and realizes weights against
     row t, so no future row can influence the weights that trade into it.
+    solve_fn(spec, cfg.solver_cfg) solves each window's instance.
 
     A window whose instance the solver rejects (InvalidSpec, or TooLarge from
     the oracle) carries the previous weights forward and is listed in
@@ -130,19 +114,18 @@ def rolling_horizon(
     if n_oos < 2:
         raise SigmaUndefined(f"only {n_oos} out-of-sample return(s); need >= 2")
 
-    solve = solve_fn if solve_fn is not None else _default_solver(cfg.solver_kind)
     weights_by_window: list[np.ndarray] = []
     oos: list[float] = []
     failed: dict[int, str] = {}
     x_prev: np.ndarray | None = None
     last_spec: ProblemSpec | None = None
     for t in range(nu, T):
-        window = ReturnsMatrix(R[t - nu:t], returns.tickers, returns.period_label)
+        window = ReturnsMatrix(R[t - nu:t], returns.tickers)
         est = estimate_moments(window)
         spec = ProblemSpec(A=est.A, mu=est.mu, tau=cfg.tau, k=cfg.k)
         last_spec = spec
         try:
-            x_t = np.asarray(solve(spec, cfg.solver_cfg).weights, dtype=float)
+            x_t = np.asarray(solve_fn(spec, cfg.solver_cfg).weights, dtype=float)
         except (InvalidSpec, TooLarge) as exc:
             if x_prev is None:
                 raise

@@ -41,6 +41,9 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_ITERATION_CAPPED = 2
 
+# tau when neither --tau nor a spec file gives one
+DEFAULT_TAU = 0.5
+
 
 def _solver_config(args) -> SolverConfig:
     return SolverConfig(
@@ -53,12 +56,12 @@ def _solver_config(args) -> SolverConfig:
     )
 
 
-def _solve_one(spec: ProblemSpec, solver: str, cfg: SolverConfig) -> Solution:
-    if solver == "pd":
-        return ccmv_pd_solve(spec, cfg)
-    if solver == "padm":
-        return ccmv_padm_solve(spec, cfg)
+def _oracle_solve(spec: ProblemSpec, _cfg: SolverConfig) -> Solution:
     return brute_force_solve(spec).to_solution()
+
+
+# Every solver a command can name: name -> (spec, cfg) -> Solution.
+SOLVERS = {"pd": ccmv_pd_solve, "padm": ccmv_padm_solve, "oracle": _oracle_solve}
 
 
 def _load_spec(args) -> ProblemSpec:
@@ -69,7 +72,8 @@ def _load_spec(args) -> ProblemSpec:
         if args.k is None:
             raise CcmvError("--k is required with --returns")
         est = estimate_moments(returns)
-        return ProblemSpec(A=est.A, mu=est.mu, tau=args.tau, k=args.k)
+        tau = DEFAULT_TAU if args.tau is None else args.tau
+        return ProblemSpec(A=est.A, mu=est.mu, tau=tau, k=args.k)
     raise CcmvError("one of --spec or --returns is required")
 
 
@@ -83,7 +87,7 @@ def _emit(args, text: str) -> None:
 
 def cmd_solve(args) -> int:
     spec = _load_spec(args)
-    sol = _solve_one(spec, args.solver, _solver_config(args))
+    sol = SOLVERS[args.solver](spec, _solver_config(args))
     _emit(args, solution_to_json(sol))
     if args.emit == "csv" and args.out:
         write_trace_csv(Path(args.out).with_suffix(".trace.csv"), sol)
@@ -97,8 +101,8 @@ def cmd_backtest(args) -> int:
         raise CcmvError("--k is required for backtest")
     returns = read_returns_csv(args.returns)
     cfg = BacktestConfig(window=args.window, tau=args.tau, k=args.k,
-                         solver_kind=args.solver, solver_cfg=_solver_config(args))
-    report = rolling_horizon(returns, cfg)
+                         solver_cfg=_solver_config(args))
+    report = rolling_horizon(returns, cfg, solve_fn=SOLVERS[args.solver])
     _emit(args, json.dumps(report.to_dict(), indent=2) + "\n")
     if args.emit == "csv" and args.out:
         write_weights_csv(Path(args.out).with_suffix(".weights.csv"),
@@ -139,15 +143,15 @@ def cmd_compare(args) -> int:
         per_solver: dict[str, dict] = {}
         for solver in args.solvers:
             try:
-                sol = _solve_one(spec, solver, _solver_config(args))
+                sol = SOLVERS[solver](spec, _solver_config(args))
             except TooLarge as exc:
                 rows.append({"solver": solver, "k": k, "skipped": str(exc)})
                 continue
             per_solver[solver] = _stats_row(spec, sol)
-        if args.reference == "mosek-file" and reference_sol is not None:
+        if reference_sol is not None:
             ref = _stats_row(spec, reference_sol)
         else:
-            ref = per_solver.get(args.reference)
+            ref = per_solver.get(args.reference or "pd")
         for solver, row in per_solver.items():
             if ref is not None:
                 row["return_gap"] = gap(row["return"], ref["return"])
@@ -179,10 +183,8 @@ def cmd_bench(args) -> int:
         for k in args.k_sweep or [args.k or 10]:
             spec = factor_model_instance(n=n, k=k, tau=args.tau, seed=args.seed)
             for solver in args.solvers:
-                if solver == "oracle":
-                    continue
                 t0 = time.perf_counter()
-                sol = _solve_one(spec, solver, _solver_config(args))
+                sol = SOLVERS[solver](spec, _solver_config(args))
                 elapsed = time.perf_counter() - t0
                 rows.append({
                     "n": n, "k": k, "solver": solver,
@@ -202,12 +204,21 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Cardinality-constrained mean-variance portfolio tools")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--spec", help="ProblemSpec JSON path")
-        p.add_argument("--returns", help="returns CSV path")
+    flags = {
+        "--spec": {"help": "ProblemSpec JSON path"},
+        "--returns": {"help": "returns CSV path"},
+        "--solver": {"choices": list(SOLVERS), "default": "pd"},
+        "--emit": {"choices": ["json", "csv"], "default": "json"},
+    }
+
+    def command(name, summary, *extra, tau):
+        """A subcommand with the flags every command reads plus the named extra ones."""
+        # allow_abbrev=False: no flag may be a prefix-match of another (--solver of --solvers)
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
+        for flag in extra:
+            p.add_argument(flag, **flags[flag])
         p.add_argument("--k", type=int, default=None, help="cardinality bound")
-        p.add_argument("--tau", type=float, default=0.5, help="risk/return trade-off")
-        p.add_argument("--solver", choices=["pd", "padm", "oracle"], default="pd")
+        p.add_argument("--tau", type=float, default=tau, help="risk/return trade-off")
         p.add_argument("--rho0", type=float, default=0.1)
         p.add_argument("--zeta", type=float, default=10.0)
         p.add_argument("--eps-inner", type=float, default=1e-4, dest="eps_inner")
@@ -215,33 +226,36 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-inner", type=int, default=1000, dest="max_inner")
         p.add_argument("--max-outer", type=int, default=50, dest="max_outer")
         p.add_argument("--out", help="output path (stdout if omitted)")
-        p.add_argument("--emit", choices=["json", "csv"], default="json")
+        return p
 
-    p_solve = sub.add_parser("solve", help="solve one instance")
-    common(p_solve)
+    # solve and compare take tau from the spec file unless --tau is given
+    p_solve = command("solve", "solve one instance",
+                      "--spec", "--returns", "--solver", "--emit", tau=None)
     p_solve.set_defaults(func=cmd_solve)
 
-    p_back = sub.add_parser("backtest", help="rolling-horizon backtest on a returns CSV")
-    common(p_back)
+    p_back = command("backtest", "rolling-horizon backtest on a returns CSV",
+                     "--returns", "--solver", "--emit", tau=DEFAULT_TAU)
     p_back.add_argument("--window", type=int, default=48, help="estimation window length")
     p_back.set_defaults(func=cmd_backtest)
 
-    p_cmp = sub.add_parser("compare", help="solver-vs-solver table with gap columns")
-    common(p_cmp)
-    p_cmp.add_argument("--solvers", nargs="+", default=["pd", "padm"],
-                       choices=["pd", "padm", "oracle"])
-    p_cmp.add_argument("--reference", choices=["mosek-file", "oracle", "pd"], default="pd")
-    p_cmp.add_argument("--reference-file", dest="reference_file",
-                       help="external Solution JSON used as the gap reference")
+    p_cmp = command("compare", "solver-vs-solver table with gap columns",
+                    "--spec", "--returns", "--emit", tau=None)
+    p_cmp.add_argument("--solvers", nargs="+", default=["pd", "padm"], choices=list(SOLVERS))
+    reference = p_cmp.add_mutually_exclusive_group()
+    # default None, not "pd": argparse sees a conflict only for a value that is not the default
+    reference.add_argument("--reference", choices=list(SOLVERS),
+                           help="solver whose row is the gap reference (default: pd)")
+    reference.add_argument("--reference-file", dest="reference_file",
+                           help="external Solution JSON used as the gap reference")
     p_cmp.add_argument("--k-sweep", dest="k_sweep", type=int, nargs="+")
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_bench = sub.add_parser("bench", help="timing sweep on seeded synthetic instances")
-    common(p_bench)
+    p_bench = command("bench", "timing sweep on seeded synthetic instances", tau=DEFAULT_TAU)
     p_bench.add_argument("--sizes", type=int, nargs="+", default=[226, 476])
     p_bench.add_argument("--seed", type=int, default=0, help="factor_model_instance seed")
+    # not the oracle: C(n, k) supports at the bench sizes
     p_bench.add_argument("--solvers", nargs="+", default=["pd", "padm"],
-                         choices=["pd", "padm"])
+                         choices=[name for name in SOLVERS if name != "oracle"])
     p_bench.add_argument("--k-sweep", dest="k_sweep", type=int, nargs="+")
     p_bench.set_defaults(func=cmd_bench)
 

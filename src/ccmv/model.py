@@ -61,7 +61,6 @@ class ReturnsMatrix:
 
     values: np.ndarray
     tickers: tuple[str, ...]
-    period_label: str = "monthly"
 
     def __post_init__(self):
         values = np.atleast_2d(_read_only(self.values))
@@ -82,10 +81,6 @@ class ReturnsMatrix:
     @property
     def n_periods(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def n_assets(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -126,7 +121,6 @@ class SolverConfig:
     eps_outer: float = 1e-4
     max_inner: int = 1000
     max_outer: int = 50
-    upsilon_slack: float = 0.0
 
     def __post_init__(self):
         if self.rho0 <= 0:
@@ -137,8 +131,6 @@ class SolverConfig:
             raise BadConfig("tolerances must be positive")
         if self.max_inner < 1 or self.max_outer < 1:
             raise BadConfig("iteration caps must be >= 1")
-        if self.upsilon_slack < 0:
-            raise BadConfig("upsilon_slack must be nonnegative")
 
 
 @dataclass(frozen=True)

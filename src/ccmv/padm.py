@@ -24,9 +24,26 @@ from .model import (
     objective_f,
     validate_problem,
 )
-from .pd import _project_simplex, _relative_change, kkt_check, polish_support
+# the seed is looked up in pd at call time, so a patched pd.dense_simplex_minimizer covers it
+from . import pd
+from .pd import kkt_check, polish_support, relative_change
 
 log = logging.getLogger("ccmv")
+
+
+def _project_simplex(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {x >= 0, sum x = 1} (sort-based).
+
+    v is first shifted by -max(v), which leaves the projection unchanged;
+    otherwise a huge top entry cancels in u - css/ind and the result is 0.
+    """
+    v = v - v.max()
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u) - 1.0
+    ind = np.arange(1, v.size + 1)
+    rho = np.count_nonzero(u - css / ind > 0)
+    theta = css[rho - 1] / rho
+    return np.maximum(v - theta, 0.0)
 
 
 def padm_x_step(
@@ -110,10 +127,8 @@ def ccmv_padm_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solut
     cfg = cfg or SolverConfig()
     lam_max = validate_problem(spec)
 
-    from .pd import dense_simplex_minimizer
-
     rho = cfg.rho0
-    x = dense_simplex_minimizer(spec)
+    x = pd.dense_simplex_minimizer(spec)
     y = padm_y_step(x, spec.k)
 
     trace: list[OuterRecord] = []
@@ -124,7 +139,7 @@ def ccmv_padm_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solut
             x_new = padm_x_step(spec, rho, y, tol=1e-10, x0=x, lam_max=lam_max)
             y_new = padm_y_step(x_new, spec.k)
             inner_iters += 1
-            delta = max(_relative_change(x_new, x), _relative_change(y_new, y))
+            delta = max(relative_change(x_new, x), relative_change(y_new, y))
             x, y = x_new, y_new
             if delta <= cfg.eps_inner:
                 break
@@ -136,8 +151,7 @@ def ccmv_padm_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solut
             break
         rho *= cfg.zeta
 
-    support = tuple(int(i) for i in np.flatnonzero(y != 0.0))[: spec.k]
-    weights, objective = polish_support(spec, support)
+    weights, objective = polish_support(spec, np.flatnonzero(y))
     support = tuple(int(i) for i in np.flatnonzero(weights != 0.0))
     cert = kkt_check(spec, weights, support)
     return Solution(

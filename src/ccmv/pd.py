@@ -180,7 +180,8 @@ def y_step(x: np.ndarray, k: int) -> np.ndarray:
     return y
 
 
-def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
+def relative_change(new: np.ndarray, old: np.ndarray) -> float:
+    """max|new - old| / max(max|new|, 1), the step size both solvers' inner loops stop on."""
     return float(np.abs(new - old).max() / max(np.abs(new).max(), 1.0))
 
 
@@ -336,7 +337,7 @@ def bcd_inner(
         iterations += 1
         if jump is None:
             x_new = x_step(fact, spec, y)
-            if confirm and _relative_change(x_new, x) > MONOTONE_TOL:
+            if confirm and relative_change(x_new, x) > MONOTONE_TOL:
                 raise MeritMismatch(f"x-step does not reproduce the jump at rho={rho}")
             y_new = y_step(x_new, spec.k)
             q = _merit(fact, spec, x_new, y, y_new)
@@ -359,7 +360,7 @@ def bcd_inner(
             if jump is not None:
                 fact.jumps += 1
             elif x is not None:
-                delta = max(_relative_change(x_new, x), _relative_change(y_new, y))
+                delta = max(relative_change(x_new, x), relative_change(y_new, y))
                 if delta <= cfg.eps_inner:
                     x, y = x_new, y_new
                     converged = True
@@ -490,21 +491,6 @@ def polish_support(spec: ProblemSpec, support) -> tuple[np.ndarray, float]:
     return x, objective_f(spec, x)
 
 
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum x = 1} (sort-based).
-
-    v is first shifted by -max(v), which leaves the projection unchanged;
-    otherwise a huge top entry cancels in u - css/ind and the result is 0.
-    """
-    v = v - v.max()
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ind = np.arange(1, v.size + 1)
-    rho = np.count_nonzero(u - css / ind > 0)
-    theta = css[rho - 1] / rho
-    return np.maximum(v - theta, 0.0)
-
-
 def kkt_check(spec: ProblemSpec, x: np.ndarray, support) -> KktCertificate:
     """Certificate of the first-order system on a given support.
 
@@ -551,11 +537,6 @@ def dense_simplex_minimizer(spec: ProblemSpec) -> np.ndarray:
     return _active_set(spec, np.arange(spec.n))
 
 
-def _support_of(y: np.ndarray, k: int) -> tuple[int, ...]:
-    nz = tuple(int(i) for i in np.flatnonzero(y != 0.0))
-    return nz[:k] if len(nz) > k else nz
-
-
 def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solution:
     """Full penalty-decomposition solve: schedule, safeguard, polish, certify.
 
@@ -577,12 +558,11 @@ def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solutio
 
     x_feas = make_feasible_point(spec)
     y = y_step(dense_simplex_minimizer(spec), spec.k)
-    incumbent = polish_support(spec, _support_of(y, spec.k))
+    incumbent = polish_support(spec, np.flatnonzero(y))
 
     fact = build_factorization(spec, rho)
     x0 = x_step(fact, spec, y)
     upsilon = max(objective_f(spec, x_feas), penalty_q(spec, rho, x0, y))
-    upsilon += cfg.upsilon_slack
 
     status = STATUS_MAX_ITERATIONS
     safeguard_resets = 0
@@ -605,7 +585,7 @@ def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solutio
             trace[-1].note = (trace[-1].note + "; " if trace[-1].note else "") + "safeguard reset"
         rho = rho_next
 
-    weights, objective = polish_support(spec, _support_of(y, spec.k))
+    weights, objective = polish_support(spec, np.flatnonzero(y))
     if incumbent[1] < objective:
         weights, objective = incumbent
     support = tuple(int(i) for i in np.flatnonzero(weights != 0.0))

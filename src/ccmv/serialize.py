@@ -18,7 +18,7 @@ from .model import (
 )
 
 
-def read_returns_csv(path: str | Path, period_label: str = "monthly") -> ReturnsMatrix:
+def read_returns_csv(path: str | Path) -> ReturnsMatrix:
     """Strict parse of 'date,TICKER1,...,TICKERn' rows of decimal returns."""
     path = Path(path)
     with path.open(newline="") as fh:
@@ -43,19 +43,16 @@ def read_returns_csv(path: str | Path, period_label: str = "monthly") -> Returns
                 except ValueError:
                     raise BadData(f"{path}:{lineno}: non-numeric cell {cell!r} in column {col}") from None
             rows.append(values)
-    return ReturnsMatrix(np.array(rows, dtype=float), tickers, period_label)
+    return ReturnsMatrix(np.array(rows, dtype=float), tickers)
 
 
-def write_returns_csv(path: str | Path, returns: ReturnsMatrix, dates=None) -> None:
-    path = Path(path)
-    T = returns.n_periods
-    if dates is None:
-        dates = [f"{t:04d}" for t in range(T)]
-    with path.open("w", newline="") as fh:
+def write_returns_csv(path: str | Path, returns: ReturnsMatrix) -> None:
+    """Write the returns with the period index 0000, 0001, ... in the date column."""
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["date", *returns.tickers])
-        for date, row in zip(dates, returns.values):
-            writer.writerow([date, *(repr(float(v)) for v in row)])
+        for t, row in enumerate(returns.values):
+            writer.writerow([f"{t:04d}", *(repr(float(v)) for v in row)])
 
 
 def read_problem_json(path: str | Path, tau=None, k=None) -> ProblemSpec:
@@ -131,9 +128,9 @@ def read_solution_json(path: str | Path) -> Solution:
 def write_trace_csv(path: str | Path, sol: Solution) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["rho", "inner_iters", "q", "infeas", "note"])
+        writer.writerow(["rho", "inner_iters", "q", "infeas", "note", "jumps"])
         for rec in sol.trace:
-            writer.writerow([rec.rho, rec.inner_iters, rec.q, rec.infeas, rec.note])
+            writer.writerow([rec.rho, rec.inner_iters, rec.q, rec.infeas, rec.note, rec.jumps])
 
 
 def write_weights_csv(path: str | Path, weights_by_window, tickers) -> None:

@@ -179,7 +179,7 @@ class TestRollingHorizon:
         rng = np.random.default_rng(113)
         R = 0.01 + 0.04 * rng.standard_normal((12, 4))
         returns = ReturnsMatrix(R, ("A", "B", "C", "D"))
-        cfg = BacktestConfig(window=6, tau=0.5, k=2, solver_kind="pd")
+        cfg = BacktestConfig(window=6, tau=0.5, k=2)
         report = rolling_horizon(returns, cfg)
         assert len(report.oos_returns) == 6
         for w in report.weights_by_window:

@@ -1,8 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
-from ccmv import ReturnsMatrix
+from ccmv import ReturnsMatrix, ccmv_pd_solve
 from ccmv.cli import EXIT_INPUT_ERROR, EXIT_OK, main
 from ccmv.serialize import write_problem_json, write_returns_csv
 from ccmv.synthetic import random_psd_instance
@@ -61,6 +62,17 @@ class TestSolve:
                    "--emit", "csv"])
         assert rc == EXIT_OK
         assert (tmp_path / "sol.trace.csv").exists()
+
+    def test_tau_from_spec_file(self, tmp_path, capsys):
+        # without --tau, the file's tau is the one solved
+        spec = random_psd_instance(6, 2, tau=3.0, seed=1)
+        path = tmp_path / "spec.json"
+        write_problem_json(path, spec)
+        assert main(["solve", "--spec", str(path)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["objective"] == ccmv_pd_solve(spec).objective
+        assert main(["solve", "--spec", str(path), "--tau", "0.5"]) == EXIT_OK
+        objective = json.loads(capsys.readouterr().out)["objective"]
+        assert objective == ccmv_pd_solve(random_psd_instance(6, 2, tau=0.5, seed=1)).objective
 
     def test_missing_input(self):
         assert main(["solve", "--k", "2"]) == EXIT_INPUT_ERROR
@@ -137,8 +149,7 @@ class TestCompare:
         rc = main(["solve", "--spec", str(spec_path), "--out", str(ref)])
         assert rc == EXIT_OK
         rc = main(["compare", "--spec", str(spec_path), "--k", "2",
-                   "--solvers", "pd", "--reference", "mosek-file",
-                   "--reference-file", str(ref)])
+                   "--solvers", "pd", "--reference-file", str(ref)])
         assert rc == EXIT_OK
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["return_gap"] == 0.0
@@ -170,3 +181,31 @@ class TestParsing:
         out = tmp_path / "bench.csv"
         assert main(["bench", "--sizes", "8", "--k-sweep", "2", "--solvers", "pd",
                      "--seed", "1", "--out", str(out)]) == EXIT_OK
+
+    @pytest.mark.parametrize("command, extra", [
+        ("bench", ["--spec", "SPEC"]),
+        ("bench", ["--returns", "RETURNS"]),
+        ("bench", ["--solver", "pd"]),  # not taken as a prefix of --solvers
+        ("bench", ["--emit", "csv"]),
+        ("backtest", ["--spec", "SPEC"]),
+        ("compare", ["--solver", "pd"]),
+        ("compare", ["--reference", "pd", "--reference-file", "REF"]),
+        ("compare", ["--reference", "mosek-file"]),
+    ], ids=["bench-spec", "bench-returns", "bench-solver", "bench-emit", "backtest-spec",
+            "compare-solver", "compare-reference-and-file", "compare-mosek-file"])
+    def test_rejected_flags(self, tmp_path, command, extra):
+        # each command runs without the flag, so the flag alone is rejected
+        files = {"SPEC": str(make_spec_file(tmp_path)[0]),
+                 "RETURNS": str(make_returns_file(tmp_path)),
+                 "REF": str(tmp_path / "ref.json")}
+        out = str(tmp_path / "out")
+        assert main(["solve", "--spec", files["SPEC"], "--out", files["REF"]]) == EXIT_OK
+        valid = {
+            "bench": ["bench", "--sizes", "8", "--k-sweep", "2", "--solvers", "pd", "--out", out],
+            "backtest": ["backtest", "--returns", files["RETURNS"], "--k", "2",
+                         "--window", "6", "--out", out],
+            "compare": ["compare", "--spec", files["SPEC"], "--k", "2", "--solvers", "pd",
+                        "--out", out],
+        }[command]
+        assert main(valid) == EXIT_OK
+        assert main(valid + [files.get(a, a) for a in extra]) == EXIT_INPUT_ERROR

@@ -208,7 +208,7 @@ class TestSolverConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"rho0": 0.0}, {"zeta": 1.0}, {"eps_inner": 0.0},
-        {"max_outer": 0}, {"upsilon_slack": -1.0},
+        {"max_outer": 0},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(BadConfig):

@@ -13,6 +13,7 @@ from ccmv import (
     padm_x_step,
     padm_y_step,
 )
+from ccmv.padm import _project_simplex
 from ccmv.synthetic import random_psd_instance
 
 from conftest import assert_feasible
@@ -241,3 +242,27 @@ class TestCcmvPadmSolve:
         rhos = [r.rho for r in sol.trace]
         for a, b in zip(rhos, rhos[1:]):
             assert b == pytest.approx(10.0 * a, rel=1e-12)
+
+
+class TestProjectSimplex:
+    def test_interior_point_fixed(self):
+        v = np.array([0.2, 0.3, 0.5])
+        np.testing.assert_allclose(_project_simplex(v), v, atol=1e-12)
+
+    def test_matches_cvxpy_style_oracle(self):
+        rng = np.random.default_rng(53)
+        for _ in range(50):
+            v = rng.normal(scale=2.0, size=int(rng.integers(1, 9)))
+            p = _project_simplex(v)
+            assert abs(p.sum() - 1.0) <= 1e-9
+            assert p.min() >= 0.0
+            # optimality: no feasible direction decreases distance
+            for _ in range(20):
+                q = _project_simplex(v + rng.normal(scale=0.1, size=v.size))
+                assert ((v - p) ** 2).sum() <= ((v - q) ** 2).sum() + 1e-9
+
+
+    def test_huge_entry_stays_on_simplex(self):
+        with np.errstate(all="raise"):
+            np.testing.assert_array_equal(_project_simplex(np.array([1e17, 0.0, 0.0])),
+                                          [1.0, 0.0, 0.0])

@@ -23,7 +23,8 @@ from ccmv import (
 from ccmv import pd
 from ccmv.errors import BadSupport, MeritMismatch, NumericalBreakdown
 from ccmv.model import validate_problem
-from ccmv.pd import _project_simplex, dense_simplex_minimizer
+from ccmv.padm import _project_simplex
+from ccmv.pd import dense_simplex_minimizer
 from ccmv.synthetic import (
     factor_model_instance,
     monthly_returns_instance,
@@ -349,7 +350,7 @@ class TestJump:
             # a level that jumped ends on the saddle point; one whose jumps all
             # fell back (singular restricted problem) is a fixed point to eps_inner
             tol = 1e-9 if fact.jumps else cfg.eps_inner
-            assert pd._relative_change(y_next, y) <= tol
+            assert pd.relative_change(y_next, y) <= tol
 
 
 class TestPolishSupport:
@@ -497,35 +498,6 @@ class TestActiveSetKernel:
         assert kkt_check(spec, x, support).max_residual <= 1e-8
 
 
-class TestProjectSimplex:
-    def test_interior_point_fixed(self):
-        v = np.array([0.2, 0.3, 0.5])
-        np.testing.assert_allclose(_project_simplex(v), v, atol=1e-12)
-
-    def test_matches_cvxpy_style_oracle(self):
-        rng = np.random.default_rng(53)
-        for _ in range(50):
-            v = rng.normal(scale=2.0, size=int(rng.integers(1, 9)))
-            p = _project_simplex(v)
-            assert abs(p.sum() - 1.0) <= 1e-9
-            assert p.min() >= 0.0
-            # optimality: no feasible direction decreases distance
-            for _ in range(20):
-                q = _project_simplex(v + rng.normal(scale=0.1, size=v.size))
-                assert ((v - p) ** 2).sum() <= ((v - q) ** 2).sum() + 1e-9
-
-
-    def test_huge_entry_stays_on_simplex(self):
-        with np.errstate(all="raise"):
-            np.testing.assert_array_equal(_project_simplex(np.array([1e17, 0.0, 0.0])),
-                                          [1.0, 0.0, 0.0])
-
-    def test_dense_minimizer_at_extreme_tau(self):
-        # A = 0 and tau * mu near 1e5: the seed is the single best-mu vertex, exactly
-        spec = ProblemSpec(np.zeros((3, 3)), np.array([0.05, 0.1, 0.02]), tau=1e6, k=2)
-        np.testing.assert_array_equal(dense_simplex_minimizer(spec), [0.0, 1.0, 0.0])
-
-
 class TestDenseSimplexMinimizer:
     @pytest.mark.parametrize("make, args", [
         (factor_model_instance, (1000, 10)),
@@ -538,6 +510,11 @@ class TestDenseSimplexMinimizer:
         assert abs(x.sum() - 1.0) <= 1e-12
         assert x.min() >= 0.0
         assert kkt_check(spec, x, range(spec.n)).max_residual <= 1e-8
+
+    def test_dense_minimizer_at_extreme_tau(self):
+        # A = 0 and tau * mu near 1e5: the seed is the single best-mu vertex, exactly
+        spec = ProblemSpec(np.zeros((3, 3)), np.array([0.05, 0.1, 0.02]), tau=1e6, k=2)
+        np.testing.assert_array_equal(dense_simplex_minimizer(spec), [0.0, 1.0, 0.0])
 
 
 class TestKktCheck:

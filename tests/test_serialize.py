@@ -135,7 +135,7 @@ class TestCsvWriters:
         path = tmp_path / "trace.csv"
         write_trace_csv(path, sol)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "rho,inner_iters,q,infeas,note"
+        assert lines[0] == "rho,inner_iters,q,infeas,note,jumps"
         assert len(lines) == len(sol.trace) + 1
 
     def test_weights_csv(self, tmp_path):
