@@ -136,27 +136,37 @@ def cmd_compare(args) -> int:
     reference_sol = None
     if args.reference_file:
         reference_sol = read_solution_json(args.reference_file)
+    reference = args.reference or "pd"
+    listed = list(dict.fromkeys(args.solvers))  # each once, in the order given
+    # the gaps need the reference solver's result even when it has no row of its own
+    names = listed + ([reference] if reference_sol is None and reference not in listed else [])
 
     rows = []
     for k in ks:
         spec = ProblemSpec(A=base_spec.A, mu=base_spec.mu, tau=base_spec.tau, k=k)
         per_solver: dict[str, dict] = {}
-        for solver in args.solvers:
+        skipped: dict[str, str] = {}
+        for solver in names:
             try:
                 sol = SOLVERS[solver](spec, _solver_config(args))
             except TooLarge as exc:
-                rows.append({"solver": solver, "k": k, "skipped": str(exc)})
+                skipped[solver] = str(exc)
                 continue
             per_solver[solver] = _stats_row(spec, sol)
         if reference_sol is not None:
             ref = _stats_row(spec, reference_sol)
+        elif reference in skipped:
+            raise CcmvError(f"reference solver {reference} cannot solve k={k}: {skipped[reference]}")
         else:
-            ref = per_solver.get(args.reference or "pd")
-        for solver, row in per_solver.items():
-            if ref is not None:
-                row["return_gap"] = gap(row["return"], ref["return"])
-                row["risk_gap"] = gap(row["risk"], ref["risk"])
-                row["sharpe_gap"] = gap(row["sharpe"], ref["sharpe"])
+            ref = per_solver[reference]
+        for solver in listed:
+            if solver in skipped:
+                rows.append({"solver": solver, "k": k, "skipped": skipped[solver]})
+                continue
+            row = per_solver[solver]
+            row["return_gap"] = gap(row["return"], ref["return"])
+            row["risk_gap"] = gap(row["risk"], ref["risk"])
+            row["sharpe_gap"] = gap(row["sharpe"], ref["sharpe"])
             rows.append(row)
 
     _emit(args, json.dumps(rows, indent=2) + "\n")

@@ -41,6 +41,13 @@ SYM_TOL = 1e-12
 # models it is faster from n = 100 on.
 EIGVALSH_MAX_N = 140
 
+# objective_f evaluates a sparse x on its support above this many assets. The
+# support path has a fixed cost of about 15 us (index arrays and gathers) that
+# a dense x'Ax matches at about 300 assets; at 1000 assets and 10 nonzeros it
+# takes 24 us against 440 us (1 BLAS thread). Gathering |S|^2 entries costs
+# several times a BLAS product's per entry, hence also |S| <= n / 4.
+SUPPORT_OBJECTIVE_MIN_N = 300
+
 
 def _read_only(values) -> np.ndarray:
     """values as a read-only float64 array.
@@ -151,6 +158,7 @@ class OuterRecord:
     infeas: float
     note: str = ""
     jumps: int = 0  # accepted jumps to the level's saddle point on a stable support
+    solve_steps: int = 0  # Chebyshev steps per solve with A + rho*I; 0 on a Cholesky level
 
     def to_dict(self) -> dict:
         d = {"rho": self.rho, "inner_iters": self.inner_iters,
@@ -159,6 +167,8 @@ class OuterRecord:
             d["note"] = self.note
         if self.jumps:
             d["jumps"] = self.jumps
+        if self.solve_steps:
+            d["solve_steps"] = self.solve_steps
         return d
 
 
@@ -347,8 +357,17 @@ def _check_dim(spec: ProblemSpec, v: np.ndarray, name: str) -> np.ndarray:
 
 
 def objective_f(spec: ProblemSpec, x: np.ndarray) -> float:
-    """f(x) = x'Ax - tau * mu'x."""
+    """f(x) = x'Ax - tau * mu'x.
+
+    Above SUPPORT_OBJECTIVE_MIN_N assets, an x with at most n / 4 nonzeros,
+    such as a k-sparse portfolio, is evaluated on its support S, in
+    O(|S|^2) after an O(n) scan; any other x by one product with A, in O(n^2).
+    """
     x = _check_dim(spec, x, "x")
+    if spec.n > SUPPORT_OBJECTIVE_MIN_N and 4 * np.count_nonzero(x) <= spec.n:
+        S = np.flatnonzero(x)
+        z = x[S]
+        return float(z @ (spec.A[np.ix_(S, S)] @ z) - spec.tau * (spec.mu[S] @ z))
     return float(x @ (spec.A @ x) - spec.tau * (spec.mu @ x))
 
 

@@ -6,13 +6,18 @@ closed-form solve over the budget hyperplane {e'x = 1} with a
 clamp-and-keep-top-k thresholding step. Once the support S of y stops
 changing, q_rho restricted to {e'x = 1, y = x on S, y = 0 off S} is a convex
 quadratic, and the descent jumps to its minimizer (the saddle point of the
-penalty subproblem on S) in closed form from the level's factorization,
-rather than approaching it one step at a time. Outer loop: geometric
-penalty growth with a level-set safeguard. The discovered support and the seed's support are
-then polished by the same finite primal active-set solve of the convex QP
-restricted to a support (exact for any support size), which keeps a Cholesky
-factor of its reduced Hessian and extends it by one row as an index enters;
-the better result is returned with a KKT certificate.
+penalty subproblem on S) in closed form from the level's solves with
+A + rho*I, rather than approaching it one step at a time. Outer loop:
+geometric penalty growth with a level-set safeguard. rho starts at
+lambda_max + 1 or above, so A + rho*I has condition number at most
+1 + lambda_max / rho; a level solves with it by a fixed count of Chebyshev
+steps when they cost fewer flops than its Cholesky (the later levels at
+n = 1000), checked by one true residual, and by that Cholesky otherwise.
+The discovered support and the seed's support are then polished by the
+same finite primal active-set solve of the convex QP restricted to a support
+(exact for any support size), which keeps a Cholesky factor of its reduced
+Hessian and extends it by one row as an index enters; the better result is
+returned with a KKT certificate.
 """
 
 from __future__ import annotations
@@ -57,28 +62,84 @@ EPS = float(np.finfo(float).eps)
 # coordinate, and in practice it ends within a few passes over the support.
 POLISH_STEPS_PER_ASSET = 50
 
-# A level caches at most n // CACHE_DIVISOR columns of (A + rho I)^{-1}:
-# solving them costs at most 2n^3 / CACHE_DIVISOR flops, 1.5 times the level's
+# A level caches at most n // CACHE_DIVISOR columns of (A + rho I)^{-1}. By
+# backsolves they cost at most 2n^3 / CACHE_DIVISOR flops, 1.5 times the level's
 # Cholesky (n^3 / 3), and the cache holds at most n^2 / CACHE_DIVISOR floats.
 # A level whose k-sparse support cannot fit (k > n // CACHE_DIVISOR) keeps no
-# cache: a full backsolve then costs at most CACHE_DIVISOR times the cached product.
+# cache and is always a Cholesky level: a full backsolve then costs at most
+# CACHE_DIVISOR times the cached product.
 CACHE_DIVISOR = 4
+
+# A Chebyshev step multiplies the rows being solved by A + rho I, 2n^2 flops per
+# row; the Cholesky of A + rho I costs n^3 / 3 flops. A level with a column cache
+# solves e, tau*mu and the columns of its starting support S by m Chebyshev steps
+# when that costs less, 2n^2 * m * (|S| + 2) < n^3 / 3, that is when
+# CHEBYSHEV_FLOP_RATIO * m * (|S| + 2) < n; otherwise it factors. Columns that
+# enter later are solved by Chebyshev steps too, while the rows solved so far
+# still meet that bound; the level factors once they would not, so it never
+# spends more than twice its Cholesky.
+CHEBYSHEV_FLOP_RATIO = 6
+
+# A Chebyshev solve is accepted when each row's true residual is within this
+# many multiples of sqrt(n) * EPS of the scale ||b|| + ||A + rho I|| * ||x|| of
+# its terms; otherwise the level falls back to the Cholesky.
+CHEBYSHEV_RESIDUAL_TOL = 16.0
+
+FALLBACK_NOTE = "Chebyshev residual above round-off: Cholesky fallback"
+
+
+def _cholesky(A: np.ndarray, rho: float) -> tuple:
+    """Lower Cholesky factor of A + rho*I, as cho_factor returns it."""
+    n = A.shape[0]
+    M = A.copy()
+    M.flat[:: n + 1] += rho
+    try:
+        # ProblemSpec rejects non-finite A and rho is finite: skip the scan
+        return cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
+    except LinAlgError as exc:  # pragma: no cover - requires an invalid spec
+        raise NumericalBreakdown(f"Cholesky of A + {rho}*I failed") from exc
+
+
+def _chebyshev_steps(rho: float, lam_max: float) -> int:
+    """Chebyshev steps that bring a solve with A + rho*I to round-off.
+
+    The spectrum lies in [rho, rho + lam_max], so after m steps the error in
+    the energy norm is at most 2 q^m times the initial one, with
+    q = (sqrt(kappa) - 1) / (sqrt(kappa) + 1) = lam_max / (sqrt(rho + lam_max) + sqrt(rho))^2
+    and kappa = 1 + lam_max / rho (Saad, Iterative Methods for Sparse Linear
+    Systems, 2003, sec. 12.3). Returns the least m with 2 q^m <= EPS.
+    """
+    q = lam_max / (np.sqrt(rho + lam_max) + np.sqrt(rho)) ** 2
+    if q <= 0.0:
+        return 1  # A = 0: one step, x = b / rho, is exact
+    return int(np.ceil(np.log(2.0 / EPS) / -np.log(q)))
 
 
 @dataclass
 class PenaltyFactorization:
-    """Cholesky factor of (A + rho*I) plus the solves the x-steps of one level reuse.
+    """The solves with (A + rho*I) that the x-steps of one penalty level reuse.
+
+    A level is one of two kinds. A Cholesky level factors A + rho*I once
+    (chol) and solves by LAPACK backsolves. A Chebyshev level keeps no factor:
+    it solves by a fixed count (steps) of Chebyshev steps on the interval
+    [rho, rho + lam_max] that holds the spectrum, each one product of the rows
+    being solved with A + rho*I. One true-residual product checks each solve;
+    a residual above round-off (an understated lam_max) makes the level factor
+    and solve by Cholesky from then on (fallback). build_factorization picks
+    the kind by flop count, and a Chebyshev level also factors once the rows
+    it has solved cost as much as the Cholesky (CHEBYSHEV_FLOP_RATIO).
 
     Besides s and t it caches columns (A + rho I)^{-1} e_i, one per index that
     has appeared in the support of an x-step's y. They are solved on first use
-    (the missing ones of a call in one batched backsolve) and kept for the
-    level, so a k-sparse y costs O(n*k) once its columns are in. The cache
-    holds at most n // CACHE_DIVISOR columns; cols is None on a level that
-    keeps no cache.
+    (the missing ones of a call in one batched solve) and kept for the level,
+    so a k-sparse y costs O(n*k) once its columns are in. A Chebyshev level
+    solves the columns of its starting support together with s and t. The
+    cache holds at most n // CACHE_DIVISOR columns; cols is None on a level
+    that keeps no cache.
     """
 
     rho: float
-    chol: tuple
+    chol: tuple | None  # Cholesky factor of A + rho I; None on a Chebyshev level
     s: np.ndarray      # (A + rho I)^{-1} e
     t: np.ndarray      # (A + rho I)^{-1} (tau * mu)
     ets: float         # e's
@@ -86,6 +147,11 @@ class PenaltyFactorization:
     cols: np.ndarray | None  # row j: (A + rho I)^{-1} e_i for the i with slot[i] == j
     slot: np.ndarray   # row of column i in cols, -1 if not cached
     jumps: int = 0     # jumps accepted by the level's bcd_inner
+    A: np.ndarray | None = None  # the spec's A, for a Chebyshev level's products
+    lam_max: float = 0.0
+    steps: int = 0     # Chebyshev steps per solve; 0 on a Cholesky level
+    cheb_rows: int = 0  # rows the level was asked to solve while it had no factor
+    fallback: bool = False  # a Chebyshev residual check failed and the level factored
 
     def support_columns(self, S: np.ndarray) -> np.ndarray | None:
         """Rows (A + rho I)^{-1} e_i for the indices i in S.
@@ -100,40 +166,98 @@ class PenaltyFactorization:
             n, m = self.s.size, self.cols.shape[0]
             if m + missing.size > n // CACHE_DIVISOR:
                 return None
-            E = np.zeros((n, missing.size))
-            E[missing, np.arange(missing.size)] = 1.0
-            self.cols = np.vstack([self.cols, self.solve(E).T])
+            self.cols = np.vstack([self.cols, self.solve(_unit_rows(n, missing))])
             self.slot[missing] = np.arange(m, m + missing.size)
         return self.cols[self.slot[S]]
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """(A + rho I)^{-1} b by one LAPACK potrs call.
+    def solve(self, B: np.ndarray) -> np.ndarray:
+        """Rows B (A + rho I)^{-1}, that is (A + rho I)^{-1} b for each row b of B.
 
-        ProblemSpec checked A once; this skips cho_solve's per-call checks,
-        which cost several times the backsolve itself at small n.
+        A Cholesky level makes one LAPACK potrs call; ProblemSpec checked A
+        once, so this skips cho_solve's per-call checks, which cost several
+        times the backsolve itself at small n. A Chebyshev level runs its
+        steps on all rows at once. It factors if the residual check fails, or
+        if the rows it has solved so far would break CHEBYSHEV_FLOP_RATIO's bound.
         """
+        if self.chol is None:
+            self.cheb_rows += B.shape[0]
+            if CHEBYSHEV_FLOP_RATIO * self.steps * self.cheb_rows < self.slot.size:
+                X = self._chebyshev(B)
+                if X is not None:
+                    return X
+                self.fallback = True
+            self.chol = _cholesky(self.A, self.rho)
         c, lower = self.chol
-        return dpotrs(c, b, lower=lower)[0]
+        return dpotrs(c, B.T, lower=lower)[0].T
+
+    def _chebyshev(self, B: np.ndarray) -> np.ndarray | None:
+        """X = B (A + rho I)^{-1} by self.steps Chebyshev steps; None if the residual is not at round-off.
+
+        Chebyshev iteration from X = 0 on [rho, rho + lam_max] (Saad, 2003,
+        Algorithm 12.1), in the form with center theta and half-width delta
+        whose coefficients stay finite for delta = 0. The recurrence updates
+        its residual; the check recomputes it from X once at the end.
+        """
+        A, rho = self.A, self.rho
+        delta = 0.5 * self.lam_max
+        theta = rho + delta
+        X = B / theta
+        D = X.copy()
+        R = B.copy()
+        w = delta / theta
+        for _ in range(self.steps - 1):
+            R -= D @ A + rho * D
+            c = 1.0 / (2.0 * theta - delta * w)
+            D = (delta * c * w) * D + (2.0 * c) * R
+            X += D
+            w = delta * c
+        R = B - (X @ A + rho * X)
+        scale = (np.linalg.norm(B, axis=1)
+                 + (rho + self.lam_max) * np.linalg.norm(X, axis=1))
+        tol = CHEBYSHEV_RESIDUAL_TOL * np.sqrt(B.shape[1]) * EPS
+        if np.all(np.linalg.norm(R, axis=1) <= tol * scale):
+            return X
+        return None
 
 
-def build_factorization(spec: ProblemSpec, rho: float) -> PenaltyFactorization:
-    """Factor (A + rho*I) once per penalty level, with an empty column cache (or none)."""
+def _unit_rows(n: int, idx: np.ndarray) -> np.ndarray:
+    """Rows e_i' of the identity for the indices i in idx."""
+    E = np.zeros((idx.size, n))
+    E[np.arange(idx.size), idx] = 1.0
+    return E
+
+
+def build_factorization(spec: ProblemSpec, rho: float, lam_max: float | None = None,
+                        support=()) -> PenaltyFactorization:
+    """The solves of one penalty level: s, t and an empty column cache (or none).
+
+    Given lam_max(A), a level with a column cache whose Chebyshev solve of
+    s, t and the columns of support costs fewer flops than the Cholesky,
+    CHEBYSHEV_FLOP_RATIO * steps * (|support| + 2) < n, is a Chebyshev level:
+    it solves those |support| + 2 rows in one block and caches the columns.
+    Any other level factors A + rho*I once and solves s and t from the factor.
+    """
     n = spec.n
-    M = spec.A.copy()
-    M.flat[:: n + 1] += rho
-    try:
-        # ProblemSpec rejects non-finite A and rho is finite: skip the scan
-        chol = cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
-    except LinAlgError as exc:  # pragma: no cover - requires an invalid spec
-        raise NumericalBreakdown(f"Cholesky of A + {rho}*I failed") from exc
-    s, t = dpotrs(chol[0], np.column_stack((np.ones(n), spec.tau * spec.mu)),
-                  lower=chol[1])[0].T
-    ets = float(s.sum())
-    if ets <= 0:  # pragma: no cover - impossible for SPD matrices
-        raise NumericalBreakdown("e'(A+rho I)^{-1}e is not positive")
     cols = np.empty((0, n)) if spec.k <= n // CACHE_DIVISOR else None
-    return PenaltyFactorization(rho=float(rho), chol=chol, s=s, t=t, ets=ets,
-                                ett=float(t.sum()), cols=cols, slot=np.full(n, -1))
+    fact = PenaltyFactorization(rho=float(rho), chol=None, s=None, t=None, ets=0.0, ett=0.0,
+                                cols=cols, slot=np.full(n, -1), A=spec.A)
+    S = np.asarray(support, dtype=np.intp)
+    if lam_max is not None and cols is not None:
+        steps = _chebyshev_steps(fact.rho, lam_max)
+        if CHEBYSHEV_FLOP_RATIO * steps * (S.size + 2) < n:
+            fact.steps, fact.lam_max = steps, float(lam_max)
+    if not fact.steps:
+        fact.chol = _cholesky(spec.A, fact.rho)
+        S = S[:0]
+    X = fact.solve(np.vstack((np.ones(n), spec.tau * spec.mu, _unit_rows(n, S))))
+    fact.s, fact.t = X[0], X[1]
+    if S.size:
+        fact.cols = X[2:]
+        fact.slot[S] = np.arange(S.size)
+    fact.ets, fact.ett = float(fact.s.sum()), float(fact.t.sum())
+    if fact.ets <= 0:  # pragma: no cover - impossible for SPD matrices
+        raise NumericalBreakdown("e'(A+rho I)^{-1}e is not positive")
+    return fact
 
 
 def x_step(fact: PenaltyFactorization, spec: ProblemSpec, y: np.ndarray) -> np.ndarray:
@@ -148,7 +272,7 @@ def x_step(fact: PenaltyFactorization, spec: ProblemSpec, y: np.ndarray) -> np.n
     S = np.flatnonzero(y)
     W = fact.support_columns(S)
     if W is None:
-        u = fact.t + fact.solve(2.0 * fact.rho * y)
+        u = fact.t + fact.solve(2.0 * fact.rho * y[None])[0]
     else:
         u = fact.t + (2.0 * fact.rho * y[S]) @ W
     beta_term = (1.0 - 0.5 * float(u.sum())) / (0.5 * fact.ets)
@@ -238,9 +362,7 @@ def _saddle_point(fact: PenaltyFactorization, spec: ProblemSpec,
     """
     W = fact.support_columns(S)
     if W is None:
-        E = np.zeros((spec.n, S.size))
-        E[S, np.arange(S.size)] = 1.0
-        W = fact.solve(E).T
+        W = fact.solve(_unit_rows(spec.n, S))
     rho = fact.rho
     P = rho * (spec.A[S] @ W.T)
     P = 0.5 * (P + P.T)
@@ -482,7 +604,9 @@ def polish_support(spec: ProblemSpec, support) -> tuple[np.ndarray, float]:
     min x'Ax - tau*mu'x over {e'x = 1, x >= 0, x_i = 0 off the support}, found
     by the finite active-set kernel _active_set. On its free set F, a step
     costs O(|S|*|F| + |F|^2) from a Cholesky factor updated as an index
-    enters, and a drop O(|F|^3) more, for any support size |S|.
+    enters, and a drop O(|F|^3) more, for any support size |S|. x is zero off
+    the support, so above SUPPORT_OBJECTIVE_MIN_N assets objective_f
+    evaluates f(x) on it, in O(|S|^2), for any |S| <= n / 4.
     """
     support = tuple(sorted(int(i) for i in support))
     if not support:
@@ -560,7 +684,7 @@ def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solutio
     y = y_step(dense_simplex_minimizer(spec), spec.k)
     incumbent = polish_support(spec, np.flatnonzero(y))
 
-    fact = build_factorization(spec, rho)
+    fact = build_factorization(spec, rho, lam_max, np.flatnonzero(y))
     x0 = x_step(fact, spec, y)
     upsilon = max(objective_f(spec, x_feas), penalty_q(spec, rho, x0, y))
 
@@ -570,14 +694,17 @@ def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solutio
     for j in range(cfg.max_outer):
         x, y, inner_iters, q_trace, _ = bcd_inner(spec, rho, y, cfg, fact=fact)
         infeas = float(np.abs(x - y).max())
-        note = raised_note if j == 0 else ""
+        notes = [raised_note] if j == 0 and raised_note else []
+        if fact.fallback:
+            notes.append(FALLBACK_NOTE)
         trace.append(OuterRecord(rho=rho, inner_iters=inner_iters, q=q_trace[-1],
-                                 infeas=infeas, note=note, jumps=fact.jumps))
+                                 infeas=infeas, note="; ".join(notes), jumps=fact.jumps,
+                                 solve_steps=fact.steps))
         if infeas <= cfg.eps_outer:
             status = STATUS_CONVERGED
             break
         rho_next = cfg.zeta * rho
-        fact = build_factorization(spec, rho_next)
+        fact = build_factorization(spec, rho_next, lam_max, np.flatnonzero(y))
         x_probe = x_step(fact, spec, y)
         if penalty_q(spec, rho_next, x_probe, y) > upsilon:
             y = x_feas.copy()

@@ -101,7 +101,8 @@ def solution_from_dict(raw: dict) -> Solution:
         )
     trace = [OuterRecord(rho=r["rho"], inner_iters=r["inner_iters"],
                          q=r["q"], infeas=r["infeas"], note=r.get("note", ""),
-                         jumps=int(r.get("jumps", 0)))
+                         jumps=int(r.get("jumps", 0)),
+                         solve_steps=int(r.get("solve_steps", 0)))
              for r in raw.get("trace", [])]
     return Solution(
         weights=np.array(raw["weights"], dtype=float),
@@ -128,9 +129,10 @@ def read_solution_json(path: str | Path) -> Solution:
 def write_trace_csv(path: str | Path, sol: Solution) -> None:
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["rho", "inner_iters", "q", "infeas", "note", "jumps"])
+        writer.writerow(["rho", "inner_iters", "q", "infeas", "note", "jumps", "solve_steps"])
         for rec in sol.trace:
-            writer.writerow([rec.rho, rec.inner_iters, rec.q, rec.infeas, rec.note, rec.jumps])
+            writer.writerow([rec.rho, rec.inner_iters, rec.q, rec.infeas, rec.note, rec.jumps,
+                             rec.solve_steps])
 
 
 def write_weights_csv(path: str | Path, weights_by_window, tickers) -> None:

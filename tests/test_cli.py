@@ -143,6 +143,29 @@ class TestCompare:
         pd_row = next(r for r in rows if r["solver"] == "pd")
         assert pd_row["return_gap"] >= 0.0
 
+    @pytest.mark.parametrize("extra", [["--solvers", "pd", "--reference", "oracle"],
+                                       ["--solvers", "padm"]],
+                             ids=["oracle-reference-unlisted", "default-pd-reference-unlisted"])
+    def test_unlisted_reference_still_gives_gaps(self, tmp_path, capsys, extra):
+        # the reference is solved for the gaps but gets no row of its own
+        spec_path, _ = make_spec_file(tmp_path)
+        rc = main(["compare", "--spec", str(spec_path), "--k", "2", *extra])
+        assert rc == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["solver"] for r in rows] == [extra[1]]
+        assert {"return_gap", "risk_gap", "sharpe_gap"} <= set(rows[0])
+
+    @pytest.mark.parametrize("solvers", [["pd"], ["pd", "oracle"]], ids=["unlisted", "listed"])
+    def test_reference_too_large_is_input_error(self, tmp_path, capsys, solvers):
+        # C(60, 10) supports exceed the oracle's budget
+        spec_path, _ = make_spec_file(tmp_path, n=60, k=10)
+        rc = main(["compare", "--spec", str(spec_path), "--k", "10",
+                   "--solvers", *solvers, "--reference", "oracle"])
+        assert rc == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "reference solver oracle" in captured.err
+
     def test_reference_file(self, tmp_path, capsys):
         spec_path, _ = make_spec_file(tmp_path)
         ref = tmp_path / "ref.json"

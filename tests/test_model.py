@@ -312,6 +312,16 @@ class TestObjectiveAndPenalty:
             x = rng.standard_normal(4)
             assert penalty_q(spec, 3.0, x, x) == objective_f(spec, x)
 
+    @pytest.mark.parametrize("nnz", [0, 1, 10, 100, 101, 400])
+    def test_support_evaluation_matches_dense(self, nnz):
+        # n = 400 > SUPPORT_OBJECTIVE_MIN_N: up to n / 4 nonzeros take the support path
+        spec = factor_model_instance(400, 10, seed=3)
+        rng = np.random.default_rng(nnz)
+        x = np.zeros(spec.n)
+        x[rng.choice(spec.n, nnz, replace=False)] = rng.dirichlet(np.ones(nnz)) if nnz else []
+        dense = float(x @ (spec.A @ x) - spec.tau * (spec.mu @ x))
+        assert abs(objective_f(spec, x) - dense) <= 1e-15 * (1.0 + abs(dense))
+
     def test_penalty_hand_value(self):
         spec = ProblemSpec(np.zeros((2, 2)), np.zeros(2), tau=1.0, k=1)
         assert penalty_q(spec, 2.0, np.array([1.0, 0]), np.zeros(2)) == pytest.approx(2.0)

@@ -353,6 +353,123 @@ class TestJump:
             assert pd.relative_change(y_next, y) <= tol
 
 
+def _saddle_cond(spec, lam_max, rho, S):
+    """||A + rho*I|| over the least curvature of q_rho on {e'x = 0} with y = x on S.
+
+    _saddle_point solves with A + rho*I, so its round-off, relative to that
+    matrix, is amplified by up to this ratio.
+    """
+    n = spec.n
+    if n == 1:
+        return 1.0
+    off = np.ones(n)
+    off[S] = 0.0
+    Q = np.linalg.qr(np.column_stack((np.ones(n), np.eye(n)[:, : n - 1])))[0][:, 1:]
+    ev = np.linalg.eigvalsh(Q.T @ (spec.A + rho * np.diag(off)) @ Q)
+    return float((lam_max + rho) / ev[0])
+
+
+class TestChebyshevLevel:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(degenerate_levels())
+    def test_same_solves_as_cholesky_level(self, case):
+        spec, rho = case
+        lam = validate_problem(spec)
+        r = lam + 1.0 if rho == "floor" else rho
+        y = y_step(dense_simplex_minimizer(spec), spec.k)
+        S = np.flatnonzero(y)
+        with pytest.MonkeyPatch.context() as mp:
+            # a Chebyshev level at any n and k: no flop rule, room for every column
+            mp.setattr(pd, "CHEBYSHEV_FLOP_RATIO", 0)
+            mp.setattr(pd, "CACHE_DIVISOR", 1)
+            cheb = build_factorization(spec, r, lam, S)
+            chol = build_factorization(spec, r)
+            assert cheb.steps > 0 and cheb.chol is None
+            assert chol.steps == 0 and chol.chol is not None
+
+            def close(a, b, scale, tol=1e-12):
+                assert np.abs(a - b).max() <= tol * scale
+
+            close(cheb.s, chol.s, np.abs(chol.s).max())
+            close(cheb.t, chol.t, np.abs(chol.t).max())
+            everything = np.arange(spec.n)  # the starting support's columns and the rest
+            W = chol.support_columns(everything)
+            close(cheb.support_columns(everything), W, np.abs(W).max())
+            # x = t/2 + ... cancels terms as large as t/2 when tau*mu dominates
+            x = x_step(chol, spec, y)
+            close(x_step(cheb, spec, y), x, max(np.abs(x).max(), 0.5 * np.abs(chol.t).max()))
+            xs_cheb, xs_chol = pd._saddle_point(cheb, spec, S), pd._saddle_point(chol, spec, S)
+            assert (xs_cheb is None) == (xs_chol is None)
+            if xs_chol is not None:
+                # two backward-stable solves differ by up to the restricted
+                # problem's condition number times round-off; their q_rho does not
+                scale = max(np.abs(xs_chol).max(), 0.5 * np.abs(chol.t).max())
+                close(xs_cheb, xs_chol, scale, 1e-12 * _saddle_cond(spec, lam, r, S))
+                on_S = np.isin(np.arange(spec.n), S)
+                q_chol = penalty_q(spec, r, xs_chol, np.where(on_S, xs_chol, 0.0))
+                q_cheb = penalty_q(spec, r, xs_cheb, np.where(on_S, xs_cheb, 0.0))
+                close(q_cheb, q_chol, 1.0 + abs(q_chol))
+            assert not cheb.fallback
+
+    def test_understated_lambda_max_falls_back_to_cholesky(self, monkeypatch):
+        spec = factor_model_instance(226, 10, seed=0)
+        lam = validate_problem(spec)
+        y = y_step(dense_simplex_minimizer(spec), spec.k)
+        S = np.flatnonzero(y)
+        monkeypatch.setattr(pd, "CHEBYSHEV_FLOP_RATIO", 0)
+        for r in (lam + 1.0, 10.0 * (lam + 1.0), 100.0 * (lam + 1.0)):
+            low = build_factorization(spec, r, lam / 10.0, S)
+            chol = build_factorization(spec, r)
+            assert low.steps > 0 and low.fallback
+            np.testing.assert_allclose(low.chol[0], chol.chol[0], rtol=0, atol=0)
+            for a, b in ((low.s, chol.s), (low.t, chol.t),
+                         (low.support_columns(S), chol.support_columns(S)),
+                         (x_step(low, spec, y), x_step(chol, spec, y)),
+                         (pd._saddle_point(low, spec, S), pd._saddle_point(chol, spec, S))):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-14 * np.abs(b).max())
+
+    def test_factors_once_chebyshev_work_reaches_cholesky(self):
+        spec = factor_model_instance(1000, 10, seed=0)
+        lam = validate_problem(spec)
+        r = 10.0 * (lam + 1.0)  # the second level of the schedule
+        S = np.arange(10)
+        fact = build_factorization(spec, r, lam, S)
+        chol = build_factorization(spec, r)
+        budget = (spec.n - 1) // (pd.CHEBYSHEV_FLOP_RATIO * fact.steps)  # rows
+        assert fact.steps > 0 and fact.chol is None and budget > S.size + 2
+        late = np.arange(10, 10 + budget - S.size - 2)
+        fact.support_columns(late)  # the last rows within the budget
+        assert fact.chol is None
+        fact.support_columns(np.array([spec.n - 1]))  # one row too many
+        assert fact.chol is not None and not fact.fallback
+        everything = np.append(np.arange(10 + late.size), spec.n - 1)
+        W = chol.support_columns(everything)
+        assert np.abs(fact.support_columns(everything) - W).max() <= 1e-12 * np.abs(W).max()
+
+    def test_fallback_recorded_in_trace(self, monkeypatch):
+        spec = factor_model_instance(226, 10, seed=0)
+        lam = validate_problem(spec)
+        monkeypatch.setattr(pd, "CHEBYSHEV_FLOP_RATIO", 0)
+        monkeypatch.setattr(pd, "validate_problem", lambda spec: lam / 10.0)
+        sol = ccmv_pd_solve(spec)
+        assert all(r.solve_steps > 0 for r in sol.trace)
+        assert all(pd.FALLBACK_NOTE in r.note for r in sol.trace)
+        assert sol.kkt_residual <= 1e-8
+
+    # solve_steps per level: n = 1000 solves levels 2 and 3 by Chebyshev, and
+    # the backtest's and the sandwich's sizes keep only Cholesky levels
+    @pytest.mark.parametrize("make, expected", [
+        (lambda seed: factor_model_instance(1000, 10, seed=seed), (0, 10, 7)),
+        (lambda seed: monthly_returns_instance(100, 10, seed=seed), None),
+        (lambda seed: factor_model_instance(10, 4, seed=seed), None),
+        (lambda seed: factor_model_instance(10, 5, seed=seed), None),
+    ], ids=["scale", "backtest", "sandwich-k4", "sandwich-k5"])
+    def test_solve_kind_by_flop_count(self, make, expected):
+        for seed in range(3 if expected is None else 1):
+            steps = tuple(r.solve_steps for r in ccmv_pd_solve(make(seed)).trace)
+            assert steps == (expected or (0,) * len(steps))
+
+
 class TestPolishSupport:
     def test_singleton(self, toy_spec):
         x, obj = polish_support(toy_spec, (0,))

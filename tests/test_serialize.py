@@ -16,7 +16,7 @@ from ccmv.serialize import (
     write_trace_csv,
     write_weights_csv,
 )
-from ccmv.synthetic import monthly_returns_instance, random_psd_instance
+from ccmv.synthetic import factor_model_instance, monthly_returns_instance, random_psd_instance
 
 
 class TestReturnsCsv:
@@ -121,6 +121,16 @@ class TestSolutionJson:
         assert ["jumps" in r for r in raw["trace"]] == [j > 0 for j in jumps]
         assert [r.jumps for r in solution_from_dict(raw).trace] == jumps
 
+    def test_solve_steps_roundtrip(self):
+        # n = 1000: the later penalty levels are Chebyshev levels
+        sol = ccmv_pd_solve(factor_model_instance(1000, 10, seed=0))
+        steps = [r.solve_steps for r in sol.trace]
+        assert any(steps) and not all(steps)
+        raw = json.loads(solution_to_json(sol))
+        # written only for a Chebyshev level, as jumps is written only for a level that jumped
+        assert ["solve_steps" in r for r in raw["trace"]] == [s > 0 for s in steps]
+        assert [r.solve_steps for r in solution_from_dict(raw).trace] == steps
+
     def test_oracle_solution_without_kkt(self):
         raw = {"weights": [1.0, 0.0], "support": [0], "objective": 0.5,
                "kkt": None, "status": "converged"}
@@ -135,7 +145,7 @@ class TestCsvWriters:
         path = tmp_path / "trace.csv"
         write_trace_csv(path, sol)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "rho,inner_iters,q,infeas,note,jumps"
+        assert lines[0] == "rho,inner_iters,q,infeas,note,jumps,solve_steps"
         assert len(lines) == len(sol.trace) + 1
 
     def test_weights_csv(self, tmp_path):
