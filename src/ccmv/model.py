@@ -32,6 +32,11 @@ from .errors import (
 PSD_TOL = 1e-10
 SYM_TOL = 1e-12
 
+# _max_asymmetry compares this many rows of A at a time with the matching
+# column block, so each pass reads contiguous rows and short row segments
+# rather than A.T with stride n.
+SYM_TILE = 64
+
 # validate_problem answers both spectral questions (lambda_max, and is A PSD?)
 # with one eigvalsh for n <= EIGVALSH_MAX_N, and with max_eigenvalue's Lanczos
 # plus one shifted Cholesky above it. Each Lanczos step has a fixed overhead,
@@ -158,7 +163,9 @@ class OuterRecord:
     infeas: float
     note: str = ""
     jumps: int = 0  # accepted jumps to the level's saddle point on a stable support
-    solve_steps: int = 0  # Chebyshev steps per solve with A + rho*I; 0 on a Cholesky level
+    # CG steps of the run that served the level's solves with A + rho*I (made at
+    # the first level, replayed at later ones); 0 on a Cholesky level
+    solve_steps: int = 0
 
     def to_dict(self) -> dict:
         d = {"rho": self.rho, "inner_iters": self.inner_iters,
@@ -263,8 +270,7 @@ def validate_problem(spec: ProblemSpec) -> float:
     A = spec.A
     n = spec.n
     scale = max(1.0, float(A.max()), -float(A.min()))
-    # A - A.T is antisymmetric: its largest entry is its largest |entry|
-    asymmetry = float((A - A.T).max())
+    asymmetry = _max_asymmetry(A)
     if asymmetry > SYM_TOL * scale:
         raise AsymmetricA(f"max asymmetry {asymmetry:.3e}")
     # eigvalsh and the Cholesky read the lower triangle, and Lanczos all of A;
@@ -290,6 +296,22 @@ def validate_problem(spec: ProblemSpec) -> float:
     if not 1 <= spec.k <= spec.n:
         raise BadK(f"k must lie in [1, {spec.n}], got {spec.k}")
     return float(lam_max)
+
+
+def _max_asymmetry(A: np.ndarray) -> float:
+    """max (A - A.T) over all entries, with no n x n temporary.
+
+    A - A.T is antisymmetric, so its largest entry is its largest |entry| on
+    or above the diagonal. Tile i compares rows [i, i + SYM_TILE) of A, from
+    column i on, with the same block of columns transposed; fl(a - b) is
+    exactly -fl(b - a), so the result equals (A - A.T).max() bit for bit.
+    """
+    n = A.shape[0]
+    worst = 0.0
+    for i in range(0, n, SYM_TILE):
+        D = A[i:i + SYM_TILE, i:] - A[i:, i:i + SYM_TILE].T
+        worst = max(worst, float(D.max()), -float(D.min()))
+    return worst
 
 
 def max_eigenvalue(A: np.ndarray) -> float:

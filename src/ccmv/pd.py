@@ -10,14 +10,18 @@ penalty subproblem on S) in closed form from the level's solves with
 A + rho*I, rather than approaching it one step at a time. Outer loop:
 geometric penalty growth with a level-set safeguard. rho starts at
 lambda_max + 1 or above, so A + rho*I has condition number at most
-1 + lambda_max / rho; a level solves with it by a fixed count of Chebyshev
-steps when they cost fewer flops than its Cholesky (the later levels at
-n = 1000), checked by one true residual, and by that Cholesky otherwise.
-The discovered support and the seed's support are then polished by the
-same finite primal active-set solve of the convex QP restricted to a support
-(exact for any support size), which keeps a Cholesky factor of its reduced
-Hessian and extends it by one row as an index enters; the better result is
-returned with a KKT certificate.
+1 + lambda_max / rho. Every level needs (A + rho*I)^{-1} on the same rows,
+e, tau*mu and the columns of the support, and a shift of A leaves its Krylov
+spaces as they are. So when its a-priori cost is below two Choleskys (at
+n = 1000, k = 10), the first level runs one block of conjugate-gradient
+solves on those rows, and each later level replays its recurrences at its
+own rho (multi-shift CG), with no product with A; one true residual checks
+each level. Other levels factor A + rho*I by Cholesky.
+The discovered support and the seed's support (once, when they are the
+same) are then polished by the same finite primal active-set solve of the
+convex QP restricted to a support (exact for any support size), which keeps
+a Cholesky factor of its reduced Hessian and extends it by one row as an
+index enters; the better result is returned with a KKT certificate.
 """
 
 from __future__ import annotations
@@ -70,22 +74,28 @@ POLISH_STEPS_PER_ASSET = 50
 # CACHE_DIVISOR times the cached product.
 CACHE_DIVISOR = 4
 
-# A Chebyshev step multiplies the rows being solved by A + rho I, 2n^2 flops per
-# row; the Cholesky of A + rho I costs n^3 / 3 flops. A level with a column cache
-# solves e, tau*mu and the columns of its starting support S by m Chebyshev steps
-# when that costs less, 2n^2 * m * (|S| + 2) < n^3 / 3, that is when
-# CHEBYSHEV_FLOP_RATIO * m * (|S| + 2) < n; otherwise it factors. Columns that
-# enter later are solved by Chebyshev steps too, while the rows solved so far
-# still meet that bound; the level factors once they would not, so it never
-# spends more than twice its Cholesky.
-CHEBYSHEV_FLOP_RATIO = 6
+# A CG step multiplies the rows being solved by A + rho I, 2n^2 flops per row,
+# and the Cholesky of A + rho I costs n^3 / 3 flops. CG needs at most the
+# Chebyshev step count m = _chebyshev_steps(rho, lam_max) to reach round-off in
+# the energy norm, so m steps on r rows cost less than a Cholesky when
+# CG_FLOP_RATIO * m * r < n. The first level, if it keeps a column cache, runs
+# CG on e, tau*mu and the columns of its starting support S when
+# CG_FLOP_RATIO * m * (|S| + 2) < 2n: the run then costs less than two
+# Choleskys, its own level's and the next one's, which it serves by a replay
+# (as it serves every later level). Columns that enter a CG level later are
+# solved by CG at that level's rho while the rows so solved meet the
+# one-Cholesky bound; the level factors once they would not.
+CG_FLOP_RATIO = 6
 
-# A Chebyshev solve is accepted when each row's true residual is within this
-# many multiples of sqrt(n) * EPS of the scale ||b|| + ||A + rho I|| * ||x|| of
-# its terms; otherwise the level falls back to the Cholesky.
-CHEBYSHEV_RESIDUAL_TOL = 16.0
+# CG stops a row once its recursive residual is at most
+# CG_RESIDUAL_TOL * EPS * ||b||. The solve is accepted when each row's true
+# residual is within CG_RESIDUAL_TOL * sqrt(n) * EPS of the scale
+# ||b|| + ||A + rho I|| * ||x|| of its terms (the round-off of one product with
+# A + rho I), at least 2 sqrt(n) times the stop; otherwise the level falls back
+# to the Cholesky.
+CG_RESIDUAL_TOL = 16.0
 
-FALLBACK_NOTE = "Chebyshev residual above round-off: Cholesky fallback"
+FALLBACK_NOTE = "CG solve not at round-off: Cholesky fallback"
 
 
 def _cholesky(A: np.ndarray, rho: float) -> tuple:
@@ -101,13 +111,15 @@ def _cholesky(A: np.ndarray, rho: float) -> tuple:
 
 
 def _chebyshev_steps(rho: float, lam_max: float) -> int:
-    """Chebyshev steps that bring a solve with A + rho*I to round-off.
+    """A-priori bound on the CG steps that bring a solve with A + rho*I to round-off.
 
-    The spectrum lies in [rho, rho + lam_max], so after m steps the error in
-    the energy norm is at most 2 q^m times the initial one, with
+    The spectrum lies in [rho, rho + lam_max], so after m Chebyshev steps, and
+    so after m CG steps, which minimize the same error over the same Krylov
+    space, the error in the energy norm is at most 2 q^m times the initial
+    one, with
     q = (sqrt(kappa) - 1) / (sqrt(kappa) + 1) = lam_max / (sqrt(rho + lam_max) + sqrt(rho))^2
     and kappa = 1 + lam_max / rho (Saad, Iterative Methods for Sparse Linear
-    Systems, 2003, sec. 12.3). Returns the least m with 2 q^m <= EPS.
+    Systems, 2003, sec. 6.11.3 and 12.3). Returns the least m with 2 q^m <= EPS.
     """
     q = lam_max / (np.sqrt(rho + lam_max) + np.sqrt(rho)) ** 2
     if q <= 0.0:
@@ -116,30 +128,138 @@ def _chebyshev_steps(rho: float, lam_max: float) -> int:
 
 
 @dataclass
+class CGRun:
+    """One conjugate-gradient run on the rows B at rho, kept to be replayed at any rho' >= rho.
+
+    Each row b of B runs its own CG on x (A + rho I) = b from x = 0, and the
+    rows share each step's product with A. A + rho' I has the same Krylov
+    spaces as A + rho I, so CG on it has residuals pi_j r_j, multiples of this
+    run's (multi-shift CG: Jegerlehner, 1996; Frommer & Maass, 1999). replay
+    rebuilds that solve from the stored residuals and scalars alone.
+    """
+
+    rho: float
+    lam_max: float
+    B: np.ndarray        # the rows solved
+    support: np.ndarray  # the i of the rows e_i' that follow e and tau*mu in B
+    R: np.ndarray        # (steps, rows, n): each row's residual r_j before step j
+    rnorm: np.ndarray    # (steps + 1, rows): ||r_j||
+    alpha: np.ndarray    # (steps, rows): step lengths, 0 once a row has stopped
+    beta: np.ndarray     # (steps, rows)
+    stop: np.ndarray     # (rows,): a row stops once its residual norm is at most this
+
+    @property
+    def steps(self) -> int:
+        return self.alpha.shape[0]
+
+    def replay(self, A: np.ndarray, rho: float) -> np.ndarray | None:
+        """Rows X with X (A + rho I) = B, for rho >= self.rho; None if they are not at round-off.
+
+        With sigma = rho - self.rho, CG on A + rho I has residuals pi_j r_j,
+        step lengths alpha'_j = alpha_j pi_{j+1} / pi_j and
+        beta'_j = (pi_{j+1} / pi_j)^2 beta_j, where pi_0 = pi_{-1} = 1 and
+        pi_{j+1} = pi_j pi_{j-1} alpha_{j-1} / (alpha_j beta_{j-1} (pi_{j-1} - pi_j)
+                   + pi_{j-1} alpha_{j-1} (1 + sigma alpha_j))
+        (alpha_{-1} = 1, beta_{-1} = 0). A row stops once pi_j ||r_j|| is at
+        most its stop, as the run's rows did. Its x = sum_j alpha'_j p'_j with
+        p'_j = pi_j r_j + beta'_{j-1} p'_{j-1} is sum_j pi_j d_j r_j, with
+        d_j = alpha'_j + beta'_j d_{j+1}: one contraction over the stored
+        residuals, O(steps * rows * n), with no product with A. One product
+        then checks each row's true residual against CG_RESIDUAL_TOL.
+        """
+        sigma = rho - self.rho
+        rows = self.stop.size
+        pi_old, pi, a_old, b_old = np.ones(rows), np.ones(rows), np.ones(rows), np.zeros(rows)
+        live = np.ones(rows, dtype=bool)
+        coef = np.zeros((self.steps, 3, rows))  # pi_j, alpha'_j, beta'_j
+        for j, (a, b) in enumerate(zip(self.alpha, self.beta)):
+            live &= (a > 0.0) & (pi * self.rnorm[j] > self.stop)
+            if not live.any():
+                break
+            with np.errstate(divide="ignore", invalid="ignore"):  # rows that stopped
+                pi_new = pi * pi_old * a_old / (a * b_old * (pi_old - pi)
+                                                + pi_old * a_old * (1.0 + sigma * a))
+                ratio = np.where(live, pi_new / pi, 0.0)
+            coef[j] = pi, a * ratio, b * ratio ** 2
+            pi_old, pi, a_old, b_old = pi, np.where(live, pi_new, pi), a, b
+        d = np.zeros(rows)
+        for j in range(self.steps - 1, -1, -1):
+            d = coef[j, 1] + coef[j, 2] * d
+            coef[j, 0] *= d
+        X = np.einsum("jr,jrn->rn", coef[:, 0], self.R)
+        R = self.B - (X @ A + rho * X)
+        scale = np.linalg.norm(self.B, axis=1) + (rho + self.lam_max) * np.linalg.norm(X, axis=1)
+        tol = CG_RESIDUAL_TOL * np.sqrt(X.shape[1]) * EPS
+        return X if np.all(np.linalg.norm(R, axis=1) <= tol * scale) else None
+
+
+def _cg(A: np.ndarray, rho: float, lam_max: float, B: np.ndarray, support=()) -> CGRun | None:
+    """CG on X (A + rho I) = B, one run per row; None if a row is not done within twice the bound.
+
+    Each step multiplies the rows that have not stopped by A + rho I in one
+    product. A row stops once its residual norm is at most
+    CG_RESIDUAL_TOL * EPS * ||b||; a row that has not stopped within
+    2 * _chebyshev_steps(rho, lam_max) steps makes the run fail.
+    """
+    rows = B.shape[0]
+    R, P = B.copy(), B.copy()
+    rr = np.einsum("ij,ij->i", R, R)
+    stop = CG_RESIDUAL_TOL * EPS * np.sqrt(rr)
+    live = np.sqrt(rr) > stop
+    hist, alpha, beta, rnorm = [], [], [], [np.sqrt(rr)]
+    for _ in range(2 * _chebyshev_steps(rho, lam_max)):
+        if not live.any():
+            break
+        hist.append(R)
+        Pl = P[live]
+        W = Pl @ A + rho * Pl
+        a, b = np.zeros(rows), np.zeros(rows)
+        a[live] = rr[live] / np.einsum("ij,ij->i", Pl, W)
+        R = R.copy()
+        R[live] -= a[live, None] * W
+        rr_new = np.einsum("ij,ij->i", R, R)
+        b[live] = rr_new[live] / rr[live]
+        P = R + b[:, None] * P
+        rr = rr_new
+        live &= np.sqrt(rr) > stop
+        alpha.append(a)
+        beta.append(b)
+        rnorm.append(np.sqrt(rr))
+    if live.any():
+        return None
+    return CGRun(rho=float(rho), lam_max=float(lam_max), B=B,
+                 support=np.asarray(support, dtype=np.intp),
+                 R=np.array(hist).reshape(len(hist), rows, B.shape[1]),
+                 rnorm=np.array(rnorm), alpha=np.array(alpha).reshape(-1, rows),
+                 beta=np.array(beta).reshape(-1, rows), stop=stop)
+
+
+@dataclass
 class PenaltyFactorization:
     """The solves with (A + rho*I) that the x-steps of one penalty level reuse.
 
     A level is one of two kinds. A Cholesky level factors A + rho*I once
-    (chol) and solves by LAPACK backsolves. A Chebyshev level keeps no factor:
-    it solves by a fixed count (steps) of Chebyshev steps on the interval
-    [rho, rho + lam_max] that holds the spectrum, each one product of the rows
-    being solved with A + rho*I. One true-residual product checks each solve;
-    a residual above round-off (an understated lam_max) makes the level factor
-    and solve by Cholesky from then on (fallback). build_factorization picks
-    the kind by flop count, and a Chebyshev level also factors once the rows
-    it has solved cost as much as the Cholesky (CHEBYSHEV_FLOP_RATIO).
+    (chol) and solves by LAPACK backsolves. A CG level keeps no factor: the
+    CG run made at the first level (run; steps is its step count) gives its
+    s, t and cached columns, at the first level directly and at a later one
+    by a replay, with no product with A. One true-residual product checks those
+    rows; rows that come later are solved by a fresh CG run at the level's rho
+    and checked the same way. A failed check, or a CG row not done within its
+    step cap, makes the level factor and solve by Cholesky from then on, and
+    drop the run (fallback). build_factorization picks the kind by flop count,
+    and a CG level also factors once the rows it solved later cost as much as
+    the Cholesky (CG_FLOP_RATIO).
 
     Besides s and t it caches columns (A + rho I)^{-1} e_i, one per index that
     has appeared in the support of an x-step's y. They are solved on first use
     (the missing ones of a call in one batched solve) and kept for the level,
-    so a k-sparse y costs O(n*k) once its columns are in. A Chebyshev level
-    solves the columns of its starting support together with s and t. The
-    cache holds at most n // CACHE_DIVISOR columns; cols is None on a level
-    that keeps no cache.
+    so a k-sparse y costs O(n*k) once its columns are in. A CG level starts
+    with the columns of the run's support. The cache holds at most
+    n // CACHE_DIVISOR columns; cols is None on a level that keeps no cache.
     """
 
     rho: float
-    chol: tuple | None  # Cholesky factor of A + rho I; None on a Chebyshev level
+    chol: tuple | None  # Cholesky factor of A + rho I; None on a CG level
     s: np.ndarray      # (A + rho I)^{-1} e
     t: np.ndarray      # (A + rho I)^{-1} (tau * mu)
     ets: float         # e's
@@ -147,11 +267,11 @@ class PenaltyFactorization:
     cols: np.ndarray | None  # row j: (A + rho I)^{-1} e_i for the i with slot[i] == j
     slot: np.ndarray   # row of column i in cols, -1 if not cached
     jumps: int = 0     # jumps accepted by the level's bcd_inner
-    A: np.ndarray | None = None  # the spec's A, for a Chebyshev level's products
-    lam_max: float = 0.0
-    steps: int = 0     # Chebyshev steps per solve; 0 on a Cholesky level
-    cheb_rows: int = 0  # rows the level was asked to solve while it had no factor
-    fallback: bool = False  # a Chebyshev residual check failed and the level factored
+    A: np.ndarray | None = None  # the spec's A, for a CG level's products
+    run: CGRun | None = None  # the run that serves the level, for the next level's replay
+    steps: int = 0     # CG steps of that run; 0 on a Cholesky level
+    cg_rows: int = 0   # rows solved by CG after the level was built
+    fallback: bool = False  # a CG solve failed its check and the level factored
 
     def support_columns(self, S: np.ndarray) -> np.ndarray | None:
         """Rows (A + rho I)^{-1} e_i for the indices i in S.
@@ -175,49 +295,23 @@ class PenaltyFactorization:
 
         A Cholesky level makes one LAPACK potrs call; ProblemSpec checked A
         once, so this skips cho_solve's per-call checks, which cost several
-        times the backsolve itself at small n. A Chebyshev level runs its
-        steps on all rows at once. It factors if the residual check fails, or
-        if the rows it has solved so far would break CHEBYSHEV_FLOP_RATIO's bound.
+        times the backsolve itself at small n. A CG level runs CG on all rows
+        at once and checks the result. It factors if the run or the check
+        fails, or if the rows it has solved this way would break
+        CG_FLOP_RATIO's bound.
         """
         if self.chol is None:
-            self.cheb_rows += B.shape[0]
-            if CHEBYSHEV_FLOP_RATIO * self.steps * self.cheb_rows < self.slot.size:
-                X = self._chebyshev(B)
+            self.cg_rows += B.shape[0]
+            lam_max = self.run.lam_max
+            if CG_FLOP_RATIO * _chebyshev_steps(self.rho, lam_max) * self.cg_rows < self.slot.size:
+                run = _cg(self.A, self.rho, lam_max, B)
+                X = None if run is None else run.replay(self.A, self.rho)
                 if X is not None:
                     return X
-                self.fallback = True
+                self.fallback, self.run = True, None
             self.chol = _cholesky(self.A, self.rho)
         c, lower = self.chol
         return dpotrs(c, B.T, lower=lower)[0].T
-
-    def _chebyshev(self, B: np.ndarray) -> np.ndarray | None:
-        """X = B (A + rho I)^{-1} by self.steps Chebyshev steps; None if the residual is not at round-off.
-
-        Chebyshev iteration from X = 0 on [rho, rho + lam_max] (Saad, 2003,
-        Algorithm 12.1), in the form with center theta and half-width delta
-        whose coefficients stay finite for delta = 0. The recurrence updates
-        its residual; the check recomputes it from X once at the end.
-        """
-        A, rho = self.A, self.rho
-        delta = 0.5 * self.lam_max
-        theta = rho + delta
-        X = B / theta
-        D = X.copy()
-        R = B.copy()
-        w = delta / theta
-        for _ in range(self.steps - 1):
-            R -= D @ A + rho * D
-            c = 1.0 / (2.0 * theta - delta * w)
-            D = (delta * c * w) * D + (2.0 * c) * R
-            X += D
-            w = delta * c
-        R = B - (X @ A + rho * X)
-        scale = (np.linalg.norm(B, axis=1)
-                 + (rho + self.lam_max) * np.linalg.norm(X, axis=1))
-        tol = CHEBYSHEV_RESIDUAL_TOL * np.sqrt(B.shape[1]) * EPS
-        if np.all(np.linalg.norm(R, axis=1) <= tol * scale):
-            return X
-        return None
 
 
 def _unit_rows(n: int, idx: np.ndarray) -> np.ndarray:
@@ -228,32 +322,38 @@ def _unit_rows(n: int, idx: np.ndarray) -> np.ndarray:
 
 
 def build_factorization(spec: ProblemSpec, rho: float, lam_max: float | None = None,
-                        support=()) -> PenaltyFactorization:
-    """The solves of one penalty level: s, t and an empty column cache (or none).
+                        support=(), run: CGRun | None = None) -> PenaltyFactorization:
+    """The solves of one penalty level: s, t and a column cache (or none).
 
-    Given lam_max(A), a level with a column cache whose Chebyshev solve of
-    s, t and the columns of support costs fewer flops than the Cholesky,
-    CHEBYSHEV_FLOP_RATIO * steps * (|support| + 2) < n, is a Chebyshev level:
-    it solves those |support| + 2 rows in one block and caches the columns.
-    Any other level factors A + rho*I once and solves s and t from the factor.
+    Given the run of an earlier level, the level replays it at rho. Given
+    lam_max(A) instead, a level with a column cache runs CG on e, tau*mu and
+    the columns of support when that costs less than two Choleskys by the
+    a-priori bound, CG_FLOP_RATIO * _chebyshev_steps(rho, lam_max) *
+    (|support| + 2) < 2n, and keeps the run for the later levels. Either way
+    one residual product checks the rows, and the level caches the columns.
+    Any other level, or one whose run or check fails, factors A + rho*I once
+    and solves s and t from the factor.
     """
     n = spec.n
     cols = np.empty((0, n)) if spec.k <= n // CACHE_DIVISOR else None
     fact = PenaltyFactorization(rho=float(rho), chol=None, s=None, t=None, ets=0.0, ett=0.0,
                                 cols=cols, slot=np.full(n, -1), A=spec.A)
-    S = np.asarray(support, dtype=np.intp)
-    if lam_max is not None and cols is not None:
-        steps = _chebyshev_steps(fact.rho, lam_max)
-        if CHEBYSHEV_FLOP_RATIO * steps * (S.size + 2) < n:
-            fact.steps, fact.lam_max = steps, float(lam_max)
-    if not fact.steps:
-        fact.chol = _cholesky(spec.A, fact.rho)
-        S = S[:0]
-    X = fact.solve(np.vstack((np.ones(n), spec.tau * spec.mu, _unit_rows(n, S))))
-    fact.s, fact.t = X[0], X[1]
-    if S.size:
+    tried = run is not None
+    if run is None and lam_max is not None and cols is not None:
+        S = np.asarray(support, dtype=np.intp)
+        if CG_FLOP_RATIO * _chebyshev_steps(fact.rho, lam_max) * (S.size + 2) < 2 * n:
+            B = np.vstack((np.ones(n), spec.tau * spec.mu, _unit_rows(n, S)))
+            run, tried = _cg(spec.A, fact.rho, lam_max, B, S), True
+    X = None if run is None else run.replay(spec.A, fact.rho)
+    if X is not None:
+        fact.run, fact.steps = run, run.steps
         fact.cols = X[2:]
-        fact.slot[S] = np.arange(S.size)
+        fact.slot[run.support] = np.arange(run.support.size)
+    else:
+        fact.fallback = tried
+        fact.chol = _cholesky(spec.A, fact.rho)
+        X = fact.solve(np.vstack((np.ones(n), spec.tau * spec.mu)))
+    fact.s, fact.t = X[0], X[1]
     fact.ets, fact.ett = float(fact.s.sum()), float(fact.t.sum())
     if fact.ets <= 0:  # pragma: no cover - impossible for SPD matrices
         raise NumericalBreakdown("e'(A+rho I)^{-1}e is not positive")
@@ -665,7 +765,8 @@ def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solutio
     """Full penalty-decomposition solve: schedule, safeguard, polish, certify.
 
     Returns the better of the polished final support and the polished top-k
-    of the exact dense seed (the final polish on a tie).
+    of the exact dense seed (the final polish on a tie). When the two are the
+    same support, the seed's polish is the answer and no second polish runs.
     """
     t0 = time.perf_counter()
     cfg = cfg or SolverConfig()
@@ -682,9 +783,10 @@ def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solutio
 
     x_feas = make_feasible_point(spec)
     y = y_step(dense_simplex_minimizer(spec), spec.k)
-    incumbent = polish_support(spec, np.flatnonzero(y))
+    seed_support = np.flatnonzero(y)
+    incumbent = polish_support(spec, seed_support)
 
-    fact = build_factorization(spec, rho, lam_max, np.flatnonzero(y))
+    fact = build_factorization(spec, rho, lam_max, seed_support)
     x0 = x_step(fact, spec, y)
     upsilon = max(objective_f(spec, x_feas), penalty_q(spec, rho, x0, y))
 
@@ -704,7 +806,8 @@ def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solutio
             status = STATUS_CONVERGED
             break
         rho_next = cfg.zeta * rho
-        fact = build_factorization(spec, rho_next, lam_max, np.flatnonzero(y))
+        # only the first level starts a CG run; a later one replays it or factors
+        fact = build_factorization(spec, rho_next, run=fact.run)
         x_probe = x_step(fact, spec, y)
         if penalty_q(spec, rho_next, x_probe, y) > upsilon:
             y = x_feas.copy()
@@ -712,9 +815,13 @@ def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solutio
             trace[-1].note = (trace[-1].note + "; " if trace[-1].note else "") + "safeguard reset"
         rho = rho_next
 
-    weights, objective = polish_support(spec, np.flatnonzero(y))
-    if incumbent[1] < objective:
-        weights, objective = incumbent
+    final_support = np.flatnonzero(y)
+    if np.array_equal(final_support, seed_support):
+        weights, objective = incumbent  # the same support's polish
+    else:
+        weights, objective = polish_support(spec, final_support)
+        if incumbent[1] < objective:
+            weights, objective = incumbent
     support = tuple(int(i) for i in np.flatnonzero(weights != 0.0))
     cert = kkt_check(spec, weights, support)
     return Solution(

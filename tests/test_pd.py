@@ -370,6 +370,37 @@ def _saddle_cond(spec, lam_max, rho, S):
 
 
 class TestChebyshevLevel:
+    """Levels served by the first level's CG run and its replays.
+
+    The per-level Chebyshev solves that the run replaced gave the class its name.
+    """
+
+    @staticmethod
+    def assert_same_level(cg, chol, spec, y, S, lam, tol=1e-12):
+        """s, t, every column, the x-step and the saddle point of two levels of one rho agree."""
+        def close(a, b, scale, tol=tol):
+            assert np.abs(a - b).max() <= tol * scale
+
+        close(cg.s, chol.s, np.abs(chol.s).max())
+        close(cg.t, chol.t, np.abs(chol.t).max())
+        everything = np.arange(spec.n)  # the run's columns and the rest
+        W = chol.support_columns(everything)
+        close(cg.support_columns(everything), W, np.abs(W).max())
+        # x = t/2 + ... cancels terms as large as t/2 when tau*mu dominates
+        x = x_step(chol, spec, y)
+        close(x_step(cg, spec, y), x, max(np.abs(x).max(), 0.5 * np.abs(chol.t).max()))
+        xs_cg, xs_chol = pd._saddle_point(cg, spec, S), pd._saddle_point(chol, spec, S)
+        assert (xs_cg is None) == (xs_chol is None)
+        if xs_chol is not None:
+            # two backward-stable solves differ by up to the restricted
+            # problem's condition number times round-off; their q_rho does not
+            scale = max(np.abs(xs_chol).max(), 0.5 * np.abs(chol.t).max())
+            close(xs_cg, xs_chol, scale, tol * _saddle_cond(spec, lam, chol.rho, S))
+            on_S = np.isin(np.arange(spec.n), S)
+            q_chol = penalty_q(spec, chol.rho, xs_chol, np.where(on_S, xs_chol, 0.0))
+            q_cg = penalty_q(spec, chol.rho, xs_cg, np.where(on_S, xs_cg, 0.0))
+            close(q_cg, q_chol, 1.0 + abs(q_chol))
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(degenerate_levels())
     def test_same_solves_as_cholesky_level(self, case):
@@ -379,65 +410,73 @@ class TestChebyshevLevel:
         y = y_step(dense_simplex_minimizer(spec), spec.k)
         S = np.flatnonzero(y)
         with pytest.MonkeyPatch.context() as mp:
-            # a Chebyshev level at any n and k: no flop rule, room for every column
-            mp.setattr(pd, "CHEBYSHEV_FLOP_RATIO", 0)
+            # a CG run at any n and k: no flop rule, room for every column
+            mp.setattr(pd, "CG_FLOP_RATIO", 0)
             mp.setattr(pd, "CACHE_DIVISOR", 1)
-            cheb = build_factorization(spec, r, lam, S)
-            chol = build_factorization(spec, r)
-            assert cheb.steps > 0 and cheb.chol is None
-            assert chol.steps == 0 and chol.chol is not None
+            run = build_factorization(spec, r, lam, S).run
+            for level in (r, 10.0 * r, 100.0 * r):  # the run's level, then two replays
+                cg = build_factorization(spec, level, run=run)
+                chol = build_factorization(spec, level)
+                assert cg.steps == run.steps > 0 and cg.chol is None
+                assert chol.steps == 0 and chol.chol is not None
+                self.assert_same_level(cg, chol, spec, y, S, lam)
+                assert not cg.fallback
 
-            def close(a, b, scale, tol=1e-12):
-                assert np.abs(a - b).max() <= tol * scale
+    def test_replay_far_from_the_run(self, monkeypatch):
+        # 40 levels of zeta = 10: each row's shifted residual reaches its stop
+        # within a step or two, before pi_j could underflow
+        spec = factor_model_instance(226, 10, seed=0)
+        lam = validate_problem(spec)
+        S = np.flatnonzero(y_step(dense_simplex_minimizer(spec), spec.k))
+        monkeypatch.setattr(pd, "CG_FLOP_RATIO", 0)
+        run = build_factorization(spec, lam + 1.0, lam, S).run
+        for level in (1e10 * (lam + 1.0), 1e40 * (lam + 1.0)):
+            cg, chol = build_factorization(spec, level, run=run), build_factorization(spec, level)
+            assert cg.steps > 0 and not cg.fallback
+            W = chol.support_columns(S)
+            for a, b in ((cg.s, chol.s), (cg.t, chol.t), (cg.support_columns(S), W)):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
-            close(cheb.s, chol.s, np.abs(chol.s).max())
-            close(cheb.t, chol.t, np.abs(chol.t).max())
-            everything = np.arange(spec.n)  # the starting support's columns and the rest
-            W = chol.support_columns(everything)
-            close(cheb.support_columns(everything), W, np.abs(W).max())
-            # x = t/2 + ... cancels terms as large as t/2 when tau*mu dominates
-            x = x_step(chol, spec, y)
-            close(x_step(cheb, spec, y), x, max(np.abs(x).max(), 0.5 * np.abs(chol.t).max()))
-            xs_cheb, xs_chol = pd._saddle_point(cheb, spec, S), pd._saddle_point(chol, spec, S)
-            assert (xs_cheb is None) == (xs_chol is None)
-            if xs_chol is not None:
-                # two backward-stable solves differ by up to the restricted
-                # problem's condition number times round-off; their q_rho does not
-                scale = max(np.abs(xs_chol).max(), 0.5 * np.abs(chol.t).max())
-                close(xs_cheb, xs_chol, scale, 1e-12 * _saddle_cond(spec, lam, r, S))
-                on_S = np.isin(np.arange(spec.n), S)
-                q_chol = penalty_q(spec, r, xs_chol, np.where(on_S, xs_chol, 0.0))
-                q_cheb = penalty_q(spec, r, xs_cheb, np.where(on_S, xs_cheb, 0.0))
-                close(q_cheb, q_chol, 1.0 + abs(q_chol))
-            assert not cheb.fallback
-
-    def test_understated_lambda_max_falls_back_to_cholesky(self, monkeypatch):
+    def test_failed_check_falls_back_to_cholesky(self, monkeypatch):
         spec = factor_model_instance(226, 10, seed=0)
         lam = validate_problem(spec)
         y = y_step(dense_simplex_minimizer(spec), spec.k)
         S = np.flatnonzero(y)
-        monkeypatch.setattr(pd, "CHEBYSHEV_FLOP_RATIO", 0)
-        for r in (lam + 1.0, 10.0 * (lam + 1.0), 100.0 * (lam + 1.0)):
-            low = build_factorization(spec, r, lam / 10.0, S)
-            chol = build_factorization(spec, r)
-            assert low.steps > 0 and low.fallback
-            np.testing.assert_allclose(low.chol[0], chol.chol[0], rtol=0, atol=0)
-            for a, b in ((low.s, chol.s), (low.t, chol.t),
-                         (low.support_columns(S), chol.support_columns(S)),
-                         (x_step(low, spec, y), x_step(chol, spec, y)),
-                         (pd._saddle_point(low, spec, S), pd._saddle_point(chol, spec, S))):
-                np.testing.assert_allclose(a, b, rtol=0, atol=1e-14 * np.abs(b).max())
+        monkeypatch.setattr(pd, "CG_FLOP_RATIO", 0)
+        monkeypatch.setattr(pd, "CACHE_DIVISOR", 1)
+        r = lam + 1.0
+        # an understated lambda_max leaves CG's iterates as they are: the run still serves
+        low = build_factorization(spec, r, lam / 10.0, S)
+        assert low.steps > 0 and not low.fallback
+        self.assert_same_level(low, build_factorization(spec, r), spec, y, S, lam)
+        run = build_factorization(spec, r, lam, S).run
+        # a check that nothing passes: the run at the first level does not stop
+        # within its cap, and a replay fails its residual check
+        monkeypatch.setattr(pd, "CG_RESIDUAL_TOL", 0.0)
+        for fact in (build_factorization(spec, r, lam, S),
+                     build_factorization(spec, 10.0 * r, run=run),
+                     build_factorization(spec, 100.0 * r, run=run)):
+            chol = build_factorization(spec, fact.rho)
+            assert fact.fallback and fact.run is None and fact.steps == 0
+            np.testing.assert_array_equal(fact.chol[0], chol.chol[0])
+            for a, b in ((fact.s, chol.s), (fact.t, chol.t),
+                         (fact.support_columns(S), chol.support_columns(S)),
+                         (x_step(fact, spec, y), x_step(chol, spec, y)),
+                         (pd._saddle_point(fact, spec, S), pd._saddle_point(chol, spec, S))):
+                np.testing.assert_array_equal(a, b)
 
-    def test_factors_once_chebyshev_work_reaches_cholesky(self):
+    def test_factors_once_cg_work_reaches_cholesky(self):
         spec = factor_model_instance(1000, 10, seed=0)
         lam = validate_problem(spec)
-        r = 10.0 * (lam + 1.0)  # the second level of the schedule
         S = np.arange(10)
-        fact = build_factorization(spec, r, lam, S)
+        run = build_factorization(spec, lam + 1.0, lam, S).run
+        r = 10.0 * (lam + 1.0)  # the second level of the schedule: a replay
+        fact = build_factorization(spec, r, run=run)
         chol = build_factorization(spec, r)
-        budget = (spec.n - 1) // (pd.CHEBYSHEV_FLOP_RATIO * fact.steps)  # rows
-        assert fact.steps > 0 and fact.chol is None and budget > S.size + 2
-        late = np.arange(10, 10 + budget - S.size - 2)
+        # rows solved by CG after the replay, within one Cholesky's flops
+        budget = (spec.n - 1) // (pd.CG_FLOP_RATIO * pd._chebyshev_steps(r, lam))
+        assert fact.steps > 0 and fact.chol is None and budget > 1
+        late = np.arange(10, 10 + budget)
         fact.support_columns(late)  # the last rows within the budget
         assert fact.chol is None
         fact.support_columns(np.array([spec.n - 1]))  # one row too many
@@ -448,18 +487,30 @@ class TestChebyshevLevel:
 
     def test_fallback_recorded_in_trace(self, monkeypatch):
         spec = factor_model_instance(226, 10, seed=0)
-        lam = validate_problem(spec)
-        monkeypatch.setattr(pd, "CHEBYSHEV_FLOP_RATIO", 0)
-        monkeypatch.setattr(pd, "validate_problem", lambda spec: lam / 10.0)
+        reference = ccmv_pd_solve(spec)  # every level factors at n = 226
+        monkeypatch.setattr(pd, "CG_FLOP_RATIO", 0)
+        build = pd.build_factorization
+
+        def failing_replays(spec, rho, lam_max=None, support=(), run=None):
+            if run is not None:  # the first level is served; its replays fail their check
+                monkeypatch.setattr(pd, "CG_RESIDUAL_TOL", 0.0)
+            return build(spec, rho, lam_max, support, run)
+
+        monkeypatch.setattr(pd, "build_factorization", failing_replays)
         sol = ccmv_pd_solve(spec)
-        assert all(r.solve_steps > 0 for r in sol.trace)
-        assert all(pd.FALLBACK_NOTE in r.note for r in sol.trace)
+        assert len(sol.trace) == 3
+        # the first level is served by the run; the second falls back and
+        # drops the run, so the third factors from the start
+        assert [r.solve_steps > 0 for r in sol.trace] == [True, False, False]
+        assert [pd.FALLBACK_NOTE in r.note for r in sol.trace] == [False, True, False]
+        assert sol.support == reference.support
+        assert [r.inner_iters for r in sol.trace] == [r.inner_iters for r in reference.trace]
         assert sol.kkt_residual <= 1e-8
 
-    # solve_steps per level: n = 1000 solves levels 2 and 3 by Chebyshev, and
-    # the backtest's and the sandwich's sizes keep only Cholesky levels
+    # solve_steps per level: n = 1000 serves every level by the first level's
+    # CG run, and the backtest's and the sandwich's sizes keep only Cholesky levels
     @pytest.mark.parametrize("make, expected", [
-        (lambda seed: factor_model_instance(1000, 10, seed=seed), (0, 10, 7)),
+        (lambda seed: factor_model_instance(1000, 10, seed=seed), (14, 14, 14)),
         (lambda seed: monthly_returns_instance(100, 10, seed=seed), None),
         (lambda seed: factor_model_instance(10, 4, seed=seed), None),
         (lambda seed: factor_model_instance(10, 5, seed=seed), None),
@@ -709,6 +760,25 @@ class TestCcmvPdSolve:
         ccmv_pd_solve(spec)
         assert 1 <= len(supports) <= 2
         assert all(len(support) <= spec.k for support in supports)
+
+    def test_seed_support_polished_once(self, monkeypatch):
+        # the final support is the seed's top-k support: its polish is reused
+        supports = []
+        polish = pd.polish_support
+
+        def recording_polish(spec, support):
+            supports.append(tuple(int(i) for i in support))
+            return polish(spec, support)
+
+        spec = factor_model_instance(226, 10, seed=0)
+        y = y_step(dense_simplex_minimizer(spec), spec.k)
+        monkeypatch.setattr(pd, "polish_support", recording_polish)
+        sol = ccmv_pd_solve(spec)
+        assert supports == [tuple(np.flatnonzero(y))]
+        assert sol.support == supports[0]
+        x, f = polish(spec, supports[0])
+        np.testing.assert_array_equal(sol.weights, x)
+        assert sol.objective == f
 
     def test_converged_infeasibility(self):
         spec = random_psd_instance(n=6, k=2, seed=11)

@@ -122,14 +122,16 @@ class TestSolutionJson:
         assert [r.jumps for r in solution_from_dict(raw).trace] == jumps
 
     def test_solve_steps_roundtrip(self):
-        # n = 1000: the later penalty levels are Chebyshev levels
-        sol = ccmv_pd_solve(factor_model_instance(1000, 10, seed=0))
-        steps = [r.solve_steps for r in sol.trace]
-        assert any(steps) and not all(steps)
-        raw = json.loads(solution_to_json(sol))
-        # written only for a Chebyshev level, as jumps is written only for a level that jumped
-        assert ["solve_steps" in r for r in raw["trace"]] == [s > 0 for s in steps]
-        assert [r.solve_steps for r in solution_from_dict(raw).trace] == steps
+        # n = 1000: the first level's CG run serves every penalty level;
+        # n = 226: every level factors
+        for n in (1000, 226):
+            sol = ccmv_pd_solve(factor_model_instance(n, 10, seed=0))
+            steps = [r.solve_steps for r in sol.trace]
+            assert all(steps) if n == 1000 else not any(steps)
+            raw = json.loads(solution_to_json(sol))
+            # written only for a CG level, as jumps is written only for a level that jumped
+            assert ["solve_steps" in r for r in raw["trace"]] == [s > 0 for s in steps]
+            assert [r.solve_steps for r in solution_from_dict(raw).trace] == steps
 
     def test_oracle_solution_without_kkt(self):
         raw = {"weights": [1.0, 0.0], "support": [0], "objective": 0.5,
