@@ -5,6 +5,7 @@ import pytest
 from hypothesis import strategies as st
 
 from ccmv import ProblemSpec, objective_f
+from ccmv.pd import polish_support
 
 
 def assert_feasible(spec, weights, support, k=None):
@@ -58,6 +59,21 @@ def enumerate_restricted_qp(spec, support):
                 best_x, best_f = x, fx
     assert best_x is not None, f"no feasible candidate within support {support}"
     return best_x, best_f
+
+
+def enumerate_supports(spec):
+    """Reference global solve by exhaustive support enumeration: (x, f(x)).
+
+    Solves the restricted QP on every one of the C(n, k) size-k supports and
+    keeps the least (objective, support). Independent of the oracle's
+    branch-and-bound search; exponential in k, so small instances only.
+    """
+    best = None
+    for support in itertools.combinations(range(spec.n), spec.k):
+        x, fx = polish_support(spec, support)
+        if best is None or (fx, support) < best[:2]:
+            best = (fx, support, x)
+    return best[2], best[0]
 
 
 @st.composite

@@ -143,6 +143,13 @@ class TestCompare:
         pd_row = next(r for r in rows if r["solver"] == "pd")
         assert pd_row["return_gap"] >= 0.0
 
+    def test_oracle_row_reports_time(self, tmp_path, capsys):
+        spec_path, _ = make_spec_file(tmp_path)
+        rc = main(["compare", "--spec", str(spec_path), "--k", "2", "--solvers", "pd", "oracle"])
+        assert rc == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)
+        assert {r["solver"]: r["time"] > 0.0 for r in rows} == {"pd": True, "oracle": True}
+
     @pytest.mark.parametrize("extra", [["--solvers", "pd", "--reference", "oracle"],
                                        ["--solvers", "padm"]],
                              ids=["oracle-reference-unlisted", "default-pd-reference-unlisted"])

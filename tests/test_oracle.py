@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 
 from ccmv import ProblemSpec, brute_force_solve, kkt_check, objective_f
-from ccmv import oracle
+from ccmv import oracle, pd
 from ccmv.errors import TooLarge
 from ccmv.oracle import restricted_qp_solve
-from ccmv.synthetic import random_psd_instance
+from ccmv.synthetic import factor_model_instance, random_psd_instance
 
-from conftest import assert_feasible, degenerate_specs, enumerate_restricted_qp
+from conftest import assert_feasible, degenerate_specs, enumerate_restricted_qp, enumerate_supports
 
 
 class TestRestrictedQpSolve:
@@ -87,18 +87,29 @@ class TestBruteForceSolve:
     @pytest.mark.parametrize("n,k", [(6, 1), (6, 3), (7, 4), (5, 5)])
     def test_one_restricted_solve_per_support(self, monkeypatch, n, k):
         # benchmark/run.py traces oracle.restricted_qp_solve as the oracle's
-        # per-support layer: brute_force_solve must call it once per support
+        # per-node layer: every restricted solve of the search must go through
+        # it, no index set may be solved twice, and supports_examined counts them
         supports = []
         solve = oracle.restricted_qp_solve
 
         def recording_solve(spec, support):
-            supports.append(tuple(support))
+            supports.append(tuple(sorted(support)))
             return solve(spec, support)
 
+        kernel_calls = []
+        kernel = pd._active_set
+
+        def counting_kernel(spec, idx):
+            kernel_calls.append(idx.size)
+            return kernel(spec, idx)
+
         monkeypatch.setattr(oracle, "restricted_qp_solve", recording_solve)
-        res = brute_force_solve(random_psd_instance(n=n, k=k, seed=n + k))
-        assert len(supports) == math.comb(n, k) == res.supports_examined
-        assert sorted(supports) == list(itertools.combinations(range(n), k))
+        monkeypatch.setattr(pd, "_active_set", counting_kernel)
+        spec = random_psd_instance(n=n, k=k, seed=n + k)
+        res = brute_force_solve(spec)
+        assert len(supports) == len(kernel_calls) == res.supports_examined >= 1
+        assert len(set(supports)) == len(supports)
+        assert res.objective == pytest.approx(enumerate_supports(spec)[1], abs=1e-12)
 
     def test_budget_guard(self):
         spec = random_psd_instance(n=40, k=20, seed=0)
@@ -135,3 +146,61 @@ class TestBruteForceProperty:
             assert abs(res.objective - f_ref) <= 1e-9 * (1.0 + abs(f_ref))
             assert res.objective == objective_f(spec, res.x)
             assert_feasible(spec, res.x, res.support)
+
+
+class TestBranchAndBound:
+    """The search against exhaustive support enumeration (conftest.enumerate_supports)."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(degenerate_specs(8))
+    def test_matches_support_enumeration(self, spec_n):
+        for k in range(1, spec_n.n + 1):
+            spec = ProblemSpec(spec_n.A, spec_n.mu, tau=spec_n.tau, k=k)
+            res = brute_force_solve(spec)
+            f_ref = enumerate_supports(spec)[1]
+            assert abs(res.objective - f_ref) <= 1e-12 * (1.0 + abs(f_ref))
+            assert res.objective == objective_f(spec, res.x)
+            assert_feasible(spec, res.x, res.support)
+
+    @pytest.mark.parametrize("hint_f", [-np.inf, np.inf], ids=["relax-only-where-needed", "relax-every-node"])
+    def test_relaxation_skips_keep_the_optimum(self, monkeypatch, hint_f):
+        # f at an exclude child's point only decides whether its relaxation is
+        # solved; forcing every decision either way must not change the optimum
+        monkeypatch.setattr(oracle, "objective_f", lambda spec, x: hint_f)
+        for seed in range(4):
+            for n in (6, 8):
+                for k in range(1, n + 1):
+                    spec = random_psd_instance(n=n, k=k, seed=seed, rank=1 + seed % 3)
+                    res = brute_force_solve(spec)
+                    f_ref = enumerate_supports(spec)[1]
+                    assert abs(res.objective - f_ref) <= 1e-12 * (1.0 + abs(f_ref))
+                    assert_feasible(spec, res.x, res.support)
+
+    def test_sandwich_instances(self):
+        # the benchmark's sandwich items: n = 10, k alternating between 4 and 5
+        for seed in range(100):
+            spec = factor_model_instance(n=10, k=4 + seed % 2, seed=seed)
+            res = brute_force_solve(spec)
+            f_ref = enumerate_supports(spec)[1]
+            assert abs(res.objective - f_ref) <= 1e-12 * (1.0 + abs(f_ref))
+            assert res.supports_examined < math.comb(10, spec.k)
+
+    def test_single_asset_of_thousands(self):
+        # k = 1 within the budget at n = 3000: an explicit stack, no recursion
+        spec = factor_model_instance(n=3000, k=1, seed=0)
+        res = brute_force_solve(spec)
+        j = int(np.argmin(np.diag(spec.A) - spec.tau * spec.mu))
+        assert res.support == (j,)
+        np.testing.assert_array_equal(res.x, np.eye(spec.n)[j])
+
+    def test_duplicate_assets_deterministic(self):
+        # assets 0 and 5 are copies, so every optimum has a twin of equal objective
+        spec = random_psd_instance(n=8, k=3, seed=4)
+        A, mu = spec.A.copy(), spec.mu.copy()
+        A[5], A[:, 5], mu[5] = A[0], A[:, 0], mu[0]
+        A[5, 5] = A[0, 0]
+        spec = ProblemSpec(A, mu, tau=spec.tau, k=3)
+        first, second = brute_force_solve(spec), brute_force_solve(spec)
+        np.testing.assert_array_equal(first.x, second.x)
+        assert first.support == second.support
+        assert first.objective == second.objective == pytest.approx(enumerate_supports(spec)[1], abs=1e-12)
