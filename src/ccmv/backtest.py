@@ -48,21 +48,6 @@ class BacktestReport:
     failed_windows: list[int] = field(default_factory=list)
     failed_reasons: dict[int, str] = field(default_factory=dict)  # window -> "ExcType: message"
 
-    def to_dict(self) -> dict:
-        ret, risk, sr = self.in_sample
-        d = {
-            "weights_by_window": [[float(w) for w in x] for x in self.weights_by_window],
-            "oos_returns": [float(r) for r in self.oos_returns],
-            "mu_hat": self.mu_hat,
-            "sigma_hat": self.sigma_hat,
-            "sharpe_hat": self.sharpe_hat,
-            "in_sample": {"return": ret, "risk": risk, "sharpe": sr},
-            "failed_windows": self.failed_windows,
-        }
-        if self.failed_reasons:
-            d["failed_reasons"] = {str(t): r for t, r in self.failed_reasons.items()}
-        return d
-
 
 def in_sample_stats(spec: ProblemSpec, x: np.ndarray) -> tuple[float, float, float]:
     """(return, risk, sharpe) = (mu'x, x'Ax, mu'x / sqrt(x'Ax)).

@@ -1,20 +1,16 @@
-"""Command-line entry point: solve, backtest, compare, bench."""
+"""Command-line entry point: solve, backtest, compare."""
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
 import sys
-import time
 from pathlib import Path
 
-import numpy as np
-
 from .backtest import BacktestConfig, gap, in_sample_stats, rolling_horizon
-from .errors import CcmvError, TooLarge
+from .errors import BadDimension, CcmvError, TooLarge
 from .model import (
     ProblemSpec,
     Solution,
@@ -29,11 +25,12 @@ from .serialize import (
     read_problem_json,
     read_returns_csv,
     read_solution_json,
+    report_to_dict,
     solution_to_json,
+    write_rows_csv,
     write_trace_csv,
     write_weights_csv,
 )
-from .synthetic import factor_model_instance
 
 log = logging.getLogger("ccmv")
 
@@ -64,16 +61,16 @@ def _oracle_solve(spec: ProblemSpec, _cfg: SolverConfig) -> Solution:
 SOLVERS = {"pd": ccmv_pd_solve, "padm": ccmv_padm_solve, "oracle": _oracle_solve}
 
 
-def _load_spec(args) -> ProblemSpec:
+def _load_spec(args, k: int | None) -> ProblemSpec:
     if args.spec:
-        return read_problem_json(args.spec, tau=args.tau, k=args.k)
+        return read_problem_json(args.spec, tau=args.tau, k=k)
     if args.returns:
         returns = read_returns_csv(args.returns)
-        if args.k is None:
+        if k is None:
             raise CcmvError("--k is required with --returns")
         est = estimate_moments(returns)
         tau = DEFAULT_TAU if args.tau is None else args.tau
-        return ProblemSpec(A=est.A, mu=est.mu, tau=tau, k=args.k)
+        return ProblemSpec(A=est.A, mu=est.mu, tau=tau, k=k)
     raise CcmvError("one of --spec or --returns is required")
 
 
@@ -86,7 +83,7 @@ def _emit(args, text: str) -> None:
 
 
 def cmd_solve(args) -> int:
-    spec = _load_spec(args)
+    spec = _load_spec(args, args.k)
     sol = SOLVERS[args.solver](spec, _solver_config(args))
     _emit(args, solution_to_json(sol))
     if args.emit == "csv" and args.out:
@@ -103,7 +100,7 @@ def cmd_backtest(args) -> int:
     cfg = BacktestConfig(window=args.window, tau=args.tau, k=args.k,
                          solver_cfg=_solver_config(args))
     report = rolling_horizon(returns, cfg, solve_fn=SOLVERS[args.solver])
-    _emit(args, json.dumps(report.to_dict(), indent=2) + "\n")
+    _emit(args, json.dumps(report_to_dict(report), indent=2) + "\n")
     if args.emit == "csv" and args.out:
         write_weights_csv(Path(args.out).with_suffix(".weights.csv"),
                           report.weights_by_window, returns.tickers)
@@ -125,17 +122,18 @@ def _stats_row(spec: ProblemSpec, sol: Solution) -> dict:
 
 
 def cmd_compare(args) -> int:
-    base_spec = _load_spec(args) if args.k is not None else None
     ks = args.k_sweep or ([args.k] if args.k is not None else None)
     if ks is None:
         raise CcmvError("--k or --k-sweep is required for compare")
-    if base_spec is None:
-        args.k = ks[0]
-        base_spec = _load_spec(args)
+    # every sweep point sets its own k; ks[0] only lets a --returns load go through
+    base_spec = _load_spec(args, ks[0])
 
     reference_sol = None
     if args.reference_file:
         reference_sol = read_solution_json(args.reference_file)
+        if len(reference_sol.weights) != base_spec.n:
+            raise BadDimension(f"{args.reference_file}: {len(reference_sol.weights)} weights "
+                               f"for an instance of {base_spec.n} assets")
     reference = args.reference or "pd"
     listed = list(dict.fromkeys(args.solvers))  # each once, in the order given
     # the gaps need the reference solver's result even when it has no row of its own
@@ -171,41 +169,7 @@ def cmd_compare(args) -> int:
 
     _emit(args, json.dumps(rows, indent=2) + "\n")
     if args.emit == "csv" and args.out:
-        _write_rows_csv(Path(args.out).with_suffix(".csv"), rows)
-    return EXIT_OK
-
-
-def _write_rows_csv(path: Path, rows: list[dict]) -> None:
-    fields: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def cmd_bench(args) -> int:
-    rows = []
-    for n in args.sizes:
-        for k in args.k_sweep or [args.k or 10]:
-            spec = factor_model_instance(n=n, k=k, tau=args.tau, seed=args.seed)
-            for solver in args.solvers:
-                t0 = time.perf_counter()
-                sol = SOLVERS[solver](spec, _solver_config(args))
-                elapsed = time.perf_counter() - t0
-                rows.append({
-                    "n": n, "k": k, "solver": solver,
-                    "time": elapsed, "log10_time": float(np.log10(max(elapsed, 1e-12))),
-                    "objective": sol.objective, "status": sol.status,
-                })
-    rows.sort(key=lambda r: (r["n"], r["k"], r["solver"]))
-    lines = ["n,k,solver,time,log10_time,objective,status"]
-    lines += [f'{r["n"]},{r["k"]},{r["solver"]},{r["time"]!r},{r["log10_time"]!r},'
-              f'{r["objective"]!r},{r["status"]}' for r in rows]
-    _emit(args, "\n".join(lines) + "\n")
+        write_rows_csv(Path(args.out).with_suffix(".csv"), rows)
     return EXIT_OK
 
 
@@ -259,15 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="external Solution JSON used as the gap reference")
     p_cmp.add_argument("--k-sweep", dest="k_sweep", type=int, nargs="+")
     p_cmp.set_defaults(func=cmd_compare)
-
-    p_bench = command("bench", "timing sweep on seeded synthetic instances", tau=DEFAULT_TAU)
-    p_bench.add_argument("--sizes", type=int, nargs="+", default=[226, 476])
-    p_bench.add_argument("--seed", type=int, default=0, help="factor_model_instance seed")
-    # not the oracle: C(n, k) supports at the bench sizes
-    p_bench.add_argument("--solvers", nargs="+", default=["pd", "padm"],
-                         choices=[name for name in SOLVERS if name != "oracle"])
-    p_bench.add_argument("--k-sweep", dest="k_sweep", type=int, nargs="+")
-    p_bench.set_defaults(func=cmd_bench)
 
     return parser
 

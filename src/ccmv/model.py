@@ -90,10 +90,6 @@ class ReturnsMatrix:
             t, i = np.argwhere(~np.isfinite(values))[0]
             raise BadData(f"non-finite return at period {t}, asset {self.tickers[i]!r}")
 
-    @property
-    def n_periods(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class ProblemSpec:
@@ -167,17 +163,6 @@ class OuterRecord:
     # the first level, replayed at later ones); 0 on a Cholesky level
     solve_steps: int = 0
 
-    def to_dict(self) -> dict:
-        d = {"rho": self.rho, "inner_iters": self.inner_iters,
-             "q": self.q, "infeas": self.infeas}
-        if self.note:
-            d["note"] = self.note
-        if self.jumps:
-            d["jumps"] = self.jumps
-        if self.solve_steps:
-            d["solve_steps"] = self.solve_steps
-        return d
-
 
 @dataclass
 class KktCertificate:
@@ -195,14 +180,6 @@ class KktCertificate:
         return max(self.stationarity_residual,
                    self.complementarity_residual,
                    self.dual_feasibility_violation)
-
-    def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "stationarity": self.stationarity_residual,
-            "dual_violation": self.dual_feasibility_violation,
-            "complementarity": self.complementarity_residual,
-        }
 
 
 STATUS_CONVERGED = "converged"
@@ -227,22 +204,6 @@ class Solution:
     @property
     def kkt_residual(self) -> float:
         return self.kkt.max_residual if self.kkt is not None else float("nan")
-
-    def to_dict(self) -> dict:
-        d = {
-            "weights": [float(w) for w in self.weights],
-            "support": [int(i) for i in self.support],
-            "objective": float(self.objective),
-            "kkt": self.kkt.to_dict() if self.kkt is not None else None,
-            "status": self.status,
-            "trace": [r.to_dict() for r in self.trace],
-            "solver": self.solver,
-            "wall_time": float(self.wall_time),
-            "upsilon": None if np.isnan(self.upsilon) else float(self.upsilon),
-        }
-        if self.safeguard_resets:
-            d["safeguard_resets"] = self.safeguard_resets
-        return d
 
 
 def estimate_moments(returns: ReturnsMatrix) -> MomentEstimate:

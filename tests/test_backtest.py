@@ -18,6 +18,7 @@ from ccmv.errors import (
     SharpeUndefined,
     SigmaUndefined,
 )
+from ccmv.serialize import report_to_dict
 
 
 def constant_weights_solver(weights):
@@ -142,7 +143,7 @@ class TestRollingHorizon:
         returns = ReturnsMatrix(rng.normal(0.0, 0.05, size=(7, 2)), ("A", "B"))
         report = rolling_horizon(returns, BacktestConfig(window=3, tau=0.5, k=1), solve_fn=flaky)
         assert report.failed_reasons == {4: "NotPSD: smallest eigenvalue -1e-3"}
-        assert report.to_dict()["failed_reasons"] == {"4": "NotPSD: smallest eigenvalue -1e-3"}
+        assert report_to_dict(report)["failed_reasons"] == {"4": "NotPSD: smallest eigenvalue -1e-3"}
 
     @pytest.mark.parametrize("exc", [MonotonicityViolation("q increased"),
                                      RuntimeError("solver crashed")])
@@ -192,6 +193,6 @@ class TestRollingHorizon:
         cfg = BacktestConfig(window=3, tau=0.5, k=1)
         report = rolling_horizon(returns, cfg,
                                  solve_fn=constant_weights_solver([1.0, 0.0]))
-        d = report.to_dict()
+        d = report_to_dict(report)
         assert set(d) == {"weights_by_window", "oos_returns", "mu_hat", "sigma_hat",
                           "sharpe_hat", "in_sample", "failed_windows"}

@@ -184,16 +184,54 @@ class TestCompare:
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["return_gap"] == 0.0
 
+    @staticmethod
+    def _compare_with_reference(tmp_path, capsys, edit):
+        """compare against the pd solution of the spec file after edit(raw JSON) -> JSON."""
+        spec_path, _ = make_spec_file(tmp_path)
+        ref = tmp_path / "ref.json"
+        assert main(["solve", "--spec", str(spec_path), "--out", str(ref)]) == EXIT_OK
+        capsys.readouterr()
+        ref.write_text(json.dumps(edit(json.loads(ref.read_text()))))
+        rc = main(["compare", "--spec", str(spec_path), "--k", "2",
+                   "--solvers", "pd", "--reference-file", str(ref)])
+        assert rc == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {ref}: ")
+        return captured.err
 
-class TestBench:
-    def test_small_bench(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        rc = main(["bench", "--sizes", "8", "12", "--k-sweep", "2",
-                   "--solvers", "pd", "--out", str(out)])
-        assert rc == EXIT_OK
-        lines = out.read_text().strip().splitlines()
-        assert lines[0].startswith("n,k,solver,time")
-        assert len(lines) == 3
+    @pytest.mark.parametrize("raw, named", [([1, 2], "got list"),
+                                            ({"weights": [1.0]}, "missing key 'support'")],
+                             ids=["list", "weights-only"])
+    def test_reference_file_not_a_solution(self, tmp_path, capsys, raw, named):
+        assert named in self._compare_with_reference(tmp_path, capsys, lambda _: raw)
+
+    @pytest.mark.parametrize("part, key", [
+        ("solution", "weights"), ("solution", "support"), ("solution", "objective"),
+        ("solution", "status"), ("trace", "rho"), ("trace", "inner_iters"), ("trace", "q"),
+        ("trace", "infeas"), ("kkt", "stationarity"),
+    ])
+    def test_reference_file_missing_key(self, tmp_path, capsys, part, key):
+        def drop(raw):
+            del {"solution": raw, "trace": raw["trace"][0], "kkt": raw["kkt"]}[part][key]
+            return raw
+
+        where = {"solution": "solution", "trace": "trace level 0", "kkt": "kkt"}[part]
+        err = self._compare_with_reference(tmp_path, capsys, drop)
+        assert f"{where}: missing key {key!r}" in err
+
+    def test_reference_file_of_another_size_is_input_error(self, tmp_path, capsys):
+        # a 3-asset solution against a 4-asset instance
+        small_spec, _ = make_spec_file(tmp_path, n=3, k=2)
+        ref = tmp_path / "ref.json"
+        assert main(["solve", "--spec", str(small_spec), "--out", str(ref)]) == EXIT_OK
+        spec_path, _ = make_spec_file(tmp_path, n=4, k=2)
+        rc = main(["compare", "--spec", str(spec_path), "--k", "2",
+                   "--solvers", "pd", "--reference-file", str(ref)])
+        assert rc == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {ref}: 3 weights for an instance of 4 assets\n"
 
 
 class TestParsing:
@@ -203,26 +241,23 @@ class TestParsing:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
+    def test_bench_is_not_a_command(self, capsys):
+        # timings come from benchmark/run.py, which gates every portfolio it times
+        assert main(["bench", "--sizes", "8", "--k-sweep", "2", "--solvers", "pd"]) == EXIT_INPUT_ERROR
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
     def test_seed_only_on_bench(self, tmp_path):
-        # only bench builds seeded instances; the other commands read their data
+        # --seed belonged to the removed bench command; the commands that remain read their data
         spec_path, _ = make_spec_file(tmp_path)
         for command in ("solve", "compare"):
             assert main([command, "--spec", str(spec_path), "--seed", "1"]) == EXIT_INPUT_ERROR
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "--sizes", "8", "--k-sweep", "2", "--solvers", "pd",
-                     "--seed", "1", "--out", str(out)]) == EXIT_OK
 
     @pytest.mark.parametrize("command, extra", [
-        ("bench", ["--spec", "SPEC"]),
-        ("bench", ["--returns", "RETURNS"]),
-        ("bench", ["--solver", "pd"]),  # not taken as a prefix of --solvers
-        ("bench", ["--emit", "csv"]),
         ("backtest", ["--spec", "SPEC"]),
-        ("compare", ["--solver", "pd"]),
+        ("compare", ["--solver", "pd"]),  # not taken as a prefix of --solvers
         ("compare", ["--reference", "pd", "--reference-file", "REF"]),
         ("compare", ["--reference", "mosek-file"]),
-    ], ids=["bench-spec", "bench-returns", "bench-solver", "bench-emit", "backtest-spec",
-            "compare-solver", "compare-reference-and-file", "compare-mosek-file"])
+    ], ids=["backtest-spec", "compare-solver", "compare-reference-and-file", "compare-mosek-file"])
     def test_rejected_flags(self, tmp_path, command, extra):
         # each command runs without the flag, so the flag alone is rejected
         files = {"SPEC": str(make_spec_file(tmp_path)[0]),
@@ -231,7 +266,6 @@ class TestParsing:
         out = str(tmp_path / "out")
         assert main(["solve", "--spec", files["SPEC"], "--out", files["REF"]]) == EXIT_OK
         valid = {
-            "bench": ["bench", "--sizes", "8", "--k-sweep", "2", "--solvers", "pd", "--out", out],
             "backtest": ["backtest", "--returns", files["RETURNS"], "--k", "2",
                          "--window", "6", "--out", out],
             "compare": ["compare", "--spec", files["SPEC"], "--k", "2", "--solvers", "pd",

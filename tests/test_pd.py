@@ -25,6 +25,7 @@ from ccmv.errors import BadSupport, MeritMismatch, NumericalBreakdown
 from ccmv.model import validate_problem
 from ccmv.padm import _project_simplex
 from ccmv.pd import dense_simplex_minimizer
+from ccmv.serialize import solution_to_dict
 from ccmv.synthetic import (
     factor_model_instance,
     monthly_returns_instance,
@@ -828,7 +829,7 @@ class TestCcmvPdSolve:
 
     def test_solution_dict_schema(self):
         sol = ccmv_pd_solve(random_psd_instance(n=5, k=2, seed=1))
-        d = sol.to_dict()
+        d = solution_to_dict(sol)
         assert set(d) >= {"weights", "support", "objective", "kkt", "status", "trace"}
         assert set(d["kkt"]) == {"beta", "stationarity", "dual_violation", "complementarity"}
         assert all({"rho", "inner_iters", "q", "infeas"} <= set(r) for r in d["trace"])

@@ -1,10 +1,13 @@
+import csv
 import json
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 
 from ccmv import ReturnsMatrix, brute_force_solve, ccmv_padm_solve, ccmv_pd_solve
 from ccmv.errors import BadData
+from ccmv.model import OuterRecord
 from ccmv.serialize import (
     read_problem_json,
     read_returns_csv,
@@ -83,8 +86,49 @@ class TestProblemJson:
         with pytest.raises(BadData, match="invalid JSON"):
             read_problem_json(path)
 
+    def test_not_an_object(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(BadData, match="spec.json: expected a JSON object, got list"):
+            read_problem_json(path)
+
+
+def _oracle_solve(spec):
+    return brute_force_solve(spec).to_solution()
+
 
 class TestSolutionJson:
+    @pytest.mark.parametrize("solve, spec, exercised", [
+        (ccmv_pd_solve, lambda: factor_model_instance(1000, 10, seed=0), "solve_steps"),  # CG levels
+        (ccmv_pd_solve, lambda: monthly_returns_instance(100, 10, seed=0), "jumps"),
+        (ccmv_pd_solve, lambda: factor_model_instance(10, 1, seed=4), "safeguard_resets"),
+        (ccmv_padm_solve, lambda: factor_model_instance(10, 4, seed=0), None),
+        (_oracle_solve, lambda: factor_model_instance(10, 4, seed=0), None),
+    ], ids=["pd-cg", "pd-jumps", "pd-resets", "padm", "oracle"])
+    def test_every_field_roundtrips(self, tmp_path, solve, spec, exercised):
+        sol = solve(spec())
+        if exercised == "safeguard_resets":
+            assert sol.safeguard_resets > 0
+        elif exercised:
+            assert any(getattr(r, exercised) for r in sol.trace)
+        path = tmp_path / "sol.json"
+        path.write_text(solution_to_json(sol))
+        back = read_solution_json(path)
+        assert back.weights.tobytes() == np.asarray(sol.weights, dtype=float).tobytes()
+        assert back.support == tuple(sol.support)
+        assert (back.objective, back.status, back.solver) == (sol.objective, sol.status, sol.solver)
+        assert back.wall_time == sol.wall_time > 0.0
+        assert (json.loads(path.read_text())["upsilon"] is None) == np.isnan(sol.upsilon)
+        assert back.upsilon == sol.upsilon or np.isnan(back.upsilon) and np.isnan(sol.upsilon)
+        assert back.safeguard_resets == sol.safeguard_resets
+        assert [astuple(r) for r in back.trace] == [astuple(r) for r in sol.trace]
+        if sol.kkt is None:
+            assert back.kkt is None
+        else:
+            written = ("beta", "stationarity_residual", "dual_feasibility_violation",
+                       "complementarity_residual")
+            assert [getattr(back.kkt, a) for a in written] == [getattr(sol.kkt, a) for a in written]
+
     def test_roundtrip(self, tmp_path):
         sol = ccmv_pd_solve(random_psd_instance(n=5, k=2, seed=7))
         path = tmp_path / "sol.json"
@@ -146,9 +190,10 @@ class TestCsvWriters:
         sol = ccmv_pd_solve(random_psd_instance(n=5, k=2, seed=7))
         path = tmp_path / "trace.csv"
         write_trace_csv(path, sol)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "rho,inner_iters,q,infeas,note,jumps,solve_steps"
-        assert len(lines) == len(sol.trace) + 1
+        with path.open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == [f.name for f in fields(OuterRecord)]
+        assert rows == [[str(v) for v in astuple(r)] for r in sol.trace]
 
     def test_weights_csv(self, tmp_path):
         path = tmp_path / "weights.csv"
