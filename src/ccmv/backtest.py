@@ -59,7 +59,7 @@ def in_sample_stats(spec: ProblemSpec, x: np.ndarray) -> tuple[float, float, flo
     if abs(x.sum() - 1.0) > 1e-6:
         raise BadConfig(f"weights sum to {x.sum():.8f}, not 1")
     ret = float(spec.mu @ x)
-    risk = float(x @ (spec.A @ x))
+    risk = float(spec.cov.quad(x))
     if risk <= 0.0:
         if ret == 0.0:
             return ret, max(risk, 0.0), 0.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -141,7 +142,7 @@ def cmd_compare(args) -> int:
 
     rows = []
     for k in ks:
-        spec = ProblemSpec(A=base_spec.A, mu=base_spec.mu, tau=base_spec.tau, k=k)
+        spec = dataclasses.replace(base_spec, k=k)  # keeps a factor form as it is
         per_solver: dict[str, dict] = {}
         skipped: dict[str, str] = {}
         for solver in names:

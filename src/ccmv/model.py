@@ -5,7 +5,10 @@ tau, cardinality bound k) and minimize
 
     f(x) = x' A x - tau * mu' x
 
-over the k-sparse simplex {e'x = 1, x >= 0, ||x||_0 <= k}.
+over the k-sparse simplex {e'x = 1, x >= 0, ||x||_0 <= k}. The solvers read
+A only through spec.cov: a DenseCovariance over the n x n matrix, or a
+FactorCovariance over G and d when A = G G' + diag(d) has a rank small
+beside n, which costs O(n*m) where the dense form costs O(n^2).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dstemr
+from scipy.linalg.lapack import dpotrf, dpotrs, dstemr
 
 from .errors import (
     AsymmetricA,
@@ -53,6 +56,16 @@ EIGVALSH_MAX_N = 140
 # several times a BLAS product's per entry, hence also |S| <= n / 4.
 SUPPORT_OBJECTIVE_MIN_N = 300
 
+# A factor-form covariance G G' + diag(d), G n x m, is read through its
+# factors when m * FACTOR_RANK_RATIO <= n, and formed into a dense A otherwise.
+# Whole ccmv_pd_solve time, factor form over dense form, on random factor
+# models (1 BLAS thread, best of 7-30, seeds 0-2): at n/m = 2 it is 0.87-1.19
+# for every n from 10 to 476; at n/m = 4, 0.92-0.97 at n = 100, 0.68-0.76 at
+# 226 and 0.55-0.60 at 476; at n/m >= 8, 0.66-0.97 at n = 100 and 0.28-0.71
+# at n = 476. Below n = 100 the two are within about 15% (under 3 ms) at any
+# rank. The sandwich's n = 10, m = 5 stays dense.
+FACTOR_RANK_RATIO = 4
+
 
 def _read_only(values) -> np.ndarray:
     """values as a read-only float64 array.
@@ -91,32 +104,238 @@ class ReturnsMatrix:
             raise BadData(f"non-finite return at period {t}, asset {self.tickers[i]!r}")
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
-    """Full instance of the cardinality-constrained mean-variance problem."""
+def dense_covariance(G: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """G G' + diag(d) as a read-only n x n matrix.
 
-    A: np.ndarray
+    G @ G.T is one symmetric rank-m update (BLAS syrk), exactly symmetric.
+    """
+    A = G @ G.T
+    A.flat[:: A.shape[0] + 1] += d
+    A.setflags(write=False)
+    return A
+
+
+class DenseCovariance:
+    """A covariance held as the n x n matrix A; the solvers read it only through these methods.
+
+    Each method is the plain dense expression. G and d are kept, None for a
+    dense input, when A was formed from a factor form whose rank is not small
+    beside n (FACTOR_RANK_RATIO).
+    """
+
+    factored = False
+
+    def __init__(self, A: np.ndarray, G: np.ndarray | None = None, d: np.ndarray | None = None):
+        self.A, self.G, self.d = A, G, d
+        self.n = A.shape[0]
+
+    def diag(self, idx: np.ndarray) -> np.ndarray:
+        """A_ii for i in idx."""
+        return self.A[idx, idx]
+
+    def rows(self, S: np.ndarray) -> np.ndarray:
+        """Rows A[S], |S| x n."""
+        return self.A[S]
+
+    def row_reader(self, idx: np.ndarray):
+        """The map j -> A[idx[j], idx], for many rows read on one index set of distinct indices."""
+        A = self.A
+        return lambda j: A[idx[j], idx]
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x."""
+        return self.A @ x
+
+    def product_on(self, S: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """A x for the x that is z on S and 0 off it, as z'A[S] (A is symmetric)."""
+        return z.dot(self.A[S])
+
+    def quad(self, x: np.ndarray) -> float:
+        """x'Ax."""
+        return x @ (self.A @ x)
+
+    def quad_on(self, S: np.ndarray, z: np.ndarray) -> float:
+        """z'A[S, S]z, the quadratic form of an x that is z on S and 0 off it."""
+        return z @ (self.A[np.ix_(S, S)] @ z)
+
+    def lambda_max(self) -> float:
+        return max_eigenvalue(self.A)
+
+
+class FactorCovariance:
+    """A = G G' + diag(d) (G n x m, d >= 0), read through its factors without forming A.
+
+    Same methods as DenseCovariance: a product or a quadratic form costs
+    O(n*m), rows on an index set O(n*m) each, and shifted_solver gives solves
+    with A + rho*I by Woodbury. A, for callers outside the solvers, is formed
+    on first read and kept.
+    """
+
+    factored = True
+
+    def __init__(self, G: np.ndarray, d: np.ndarray):
+        self.G, self.d = G, d
+        self.n = G.shape[0]
+        self._diag = np.einsum("ij,ij->i", G, G) + d
+        self._A = None
+
+    @property
+    def A(self) -> np.ndarray:
+        if self._A is None:
+            self._A = dense_covariance(self.G, self.d)
+        return self._A
+
+    def diag(self, idx: np.ndarray) -> np.ndarray:
+        return self._diag[idx]
+
+    def rows(self, S: np.ndarray) -> np.ndarray:
+        R = self.G[S] @ self.G.T
+        R[np.arange(S.size), S] += self.d[S]
+        return R
+
+    def row_reader(self, idx: np.ndarray):
+        # gathered once; the dense seed reads every row, in order, from G itself
+        whole = np.array_equal(idx, np.arange(self.n))
+        Gi, di = (self.G, self.d) if whole else (self.G[idx], self.d[idx])
+
+        def row(j):
+            r = Gi @ Gi[j]
+            r[j] += di[j]
+            return r
+
+        return row
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self.G @ (x @ self.G) + self.d * x
+
+    def product_on(self, S: np.ndarray, z: np.ndarray) -> np.ndarray:
+        v = self.G @ (z @ self.G[S])
+        v[S] += self.d[S] * z
+        return v
+
+    def quad(self, x: np.ndarray) -> float:
+        v = x @ self.G
+        return v @ v + x @ (self.d * x)
+
+    def quad_on(self, S: np.ndarray, z: np.ndarray) -> float:
+        v = z @ self.G[S]
+        return v @ v + z @ (self.d[S] * z)
+
+    def lambda_max(self) -> float:
+        """lambda_max(A): from the m x m Gram matrix G'G when d is constant, else by Lanczos.
+
+        With d = c*e, A = G G' + c*I and lambda_max(G G') = lambda_max(G'G), so
+        one O(n*m^2) product and an m x m eigvalsh give it. Otherwise
+        max_eigenvalue runs on the O(n*m) product.
+        """
+        d = self.d
+        if (d == d[0]).all():
+            return float(np.linalg.eigvalsh(self.G.T @ self.G)[-1] + d[0])
+        return max_eigenvalue(self)
+
+    def shifted_solver(self, rho: float):
+        """The map B -> B (A + rho*I)^{-1} on rows, by Woodbury.
+
+        With D = diag(d + rho) and the capacitance C = I + G'D^{-1}G (m x m,
+        its eigenvalues in [1, 1 + lambda_max / rho]),
+        X = (B - (B D^{-1} G) C^{-1} G') D^{-1}. One O(n*m^2) product and an
+        m x m Cholesky per rho; O(n*m) per row solved.
+        """
+        shift = self.d + rho
+        if not shift.min() > 0.0:
+            raise NumericalBreakdown(f"A + {rho}*I has a zero diagonal in factor form")
+        inv = 1.0 / shift
+        G = self.G
+        Gs = G * np.sqrt(inv)[:, None]
+        C = Gs.T @ Gs
+        C.flat[:: C.shape[0] + 1] += 1.0
+        L, info = dpotrf(C, lower=1)
+        if info:  # pragma: no cover - C >= I
+            raise NumericalBreakdown(f"capacitance of A + {rho}*I is not positive definite")
+
+        def solve(B: np.ndarray) -> np.ndarray:
+            Z = dpotrs(L, ((B * inv) @ G).T, lower=1)[0].T
+            return (B - Z @ G.T) * inv
+
+        return solve
+
+
+@dataclass(frozen=True, init=False)
+class ProblemSpec:
+    """Full instance of the cardinality-constrained mean-variance problem.
+
+    The covariance comes dense, as A, or in factor form, as G (n x m, m >= 1)
+    and d (length n, >= 0) with A = G G' + diag(d). cov is the operator the
+    solvers read it through: a FactorCovariance when m * FACTOR_RANK_RATIO
+    <= n, else a DenseCovariance (of G G' + diag(d) for a factor form).
+    spec.A is the dense matrix, formed from the factors on first read; G and
+    d are None for a dense input. cov=... builds a spec on an existing
+    operator, as dataclasses.replace does.
+    """
+
+    cov: DenseCovariance | FactorCovariance
     mu: np.ndarray
     tau: float
     k: int
 
-    def __post_init__(self):
-        A = _read_only(self.A)
-        mu = _read_only(np.ravel(self.mu))
-        object.__setattr__(self, "A", A)
+    def __init__(self, A=None, mu=None, tau=None, k=None, *, G=None, d=None, cov=None):
+        if mu is None or tau is None or k is None:
+            raise TypeError("ProblemSpec needs mu, tau and k")
+        if sum((A is not None, G is not None or d is not None, cov is not None)) != 1:
+            raise TypeError("ProblemSpec needs exactly one of A, G and d, or cov")
+        mu = _read_only(np.ravel(mu))
+        n = mu.shape[0]
+        if A is not None:
+            A = _read_only(A)
+            if A.ndim != 2 or A.shape[0] != A.shape[1]:
+                raise BadDimension(f"A must be square, got shape {A.shape}")
+            if n != A.shape[0]:
+                raise BadDimension(f"mu has length {n}, A is {A.shape[0]}x{A.shape[0]}")
+            if not (np.isfinite(A).all() and np.isfinite(mu).all()):
+                raise BadData("non-finite entry in A or mu")
+            cov = DenseCovariance(A)
+        elif cov is None:
+            if G is None or d is None:
+                raise TypeError("the factor form needs both G and d")
+            G, d = _read_only(G), _read_only(np.ravel(d))
+            if G.ndim != 2 or G.shape[0] != n or G.shape[1] < 1:
+                raise BadDimension(f"G must be {n} x m with m >= 1 for mu of length {n}, "
+                                   f"got shape {G.shape}")
+            if d.shape[0] != n:
+                raise BadDimension(f"d has length {d.shape[0]}, mu {n}")
+            if not (np.isfinite(G).all() and np.isfinite(d).all() and np.isfinite(mu).all()):
+                raise BadData("non-finite entry in G, d or mu")
+            if (d < 0.0).any():
+                i = int(np.argmin(d))
+                raise BadData(f"d must be >= 0, got {d[i]:.6g} at asset {i}")
+            cov = (FactorCovariance(G, d) if G.shape[1] * FACTOR_RANK_RATIO <= n
+                   else DenseCovariance(dense_covariance(G, d), G, d))
+        else:
+            if cov.n != n:
+                raise BadDimension(f"mu has length {n}, the covariance is {cov.n}x{cov.n}")
+            if not np.isfinite(mu).all():
+                raise BadData("non-finite entry in mu")
+        object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "tau", float(self.tau))
-        object.__setattr__(self, "k", int(self.k))
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise BadDimension(f"A must be square, got shape {A.shape}")
-        if mu.shape[0] != A.shape[0]:
-            raise BadDimension(f"mu has length {mu.shape[0]}, A is {A.shape[0]}x{A.shape[0]}")
-        if not (np.isfinite(A).all() and np.isfinite(mu).all()):
-            raise BadData("non-finite entry in A or mu")
+        object.__setattr__(self, "tau", float(tau))
+        object.__setattr__(self, "k", int(k))
 
     @property
     def n(self) -> int:
-        return self.A.shape[0]
+        return self.mu.shape[0]
+
+    @property
+    def A(self) -> np.ndarray:
+        """The dense covariance, read-only; formed once for a factor form."""
+        return self.cov.A
+
+    @property
+    def G(self) -> np.ndarray | None:
+        return self.cov.G
+
+    @property
+    def d(self) -> np.ndarray | None:
+        return self.cov.d
 
 
 @dataclass(frozen=True)
@@ -160,7 +379,7 @@ class OuterRecord:
     note: str = ""
     jumps: int = 0  # accepted jumps to the level's saddle point on a stable support
     # CG steps of the run that served the level's solves with A + rho*I (made at
-    # the first level, replayed at later ones); 0 on a Cholesky level
+    # the first level, replayed at later ones); 0 on a Cholesky or Woodbury level
     solve_steps: int = 0
 
 
@@ -220,38 +439,45 @@ def validate_problem(spec: ProblemSpec) -> float:
     """Raise the named InvalidSpec subclass on the first violated invariant.
 
     Returns lambda_max(A), clamped at 0, so a solver needs no second spectral
-    solve. A is PSD when lambda_min >= -PSD_TOL * max(lambda_max, 1). For
-    n <= EIGVALSH_MAX_N one eigvalsh gives both eigenvalues. Above it,
-    lambda_max comes from max_eigenvalue (Lanczos, O(n^2) per step) and the PSD
-    test is one Cholesky of A + PSD_TOL * max(lambda_max, 1) * I (n^3 / 3
-    flops): it fails exactly when lambda_min is below the bound, up to
-    round-off of about n * EPS * ||A||. At n = 1000 (1 BLAS thread) the whole
-    check takes about 40 ms, against about 100 ms with eigvalsh.
+    solve. A factor form G G' + diag(d) with d >= 0 (ProblemSpec checks d) is
+    symmetric and PSD by construction, so its check is FactorCovariance's
+    lambda_max alone: O(n*m^2) for a constant d. A dense A is PSD when
+    lambda_min >= -PSD_TOL * max(lambda_max, 1). For n <= EIGVALSH_MAX_N one
+    eigvalsh gives both eigenvalues. Above it, lambda_max comes from
+    max_eigenvalue (Lanczos, O(n^2) per step) and the PSD test is one Cholesky
+    of A + PSD_TOL * max(lambda_max, 1) * I (n^3 / 3 flops): it fails exactly
+    when lambda_min is below the bound, up to round-off of about
+    n * EPS * ||A||. At n = 1000 (1 BLAS thread) the whole dense check takes
+    about 40 ms, against about 100 ms with eigvalsh; the factor form's, at
+    m = 50, about 0.3 ms.
     """
-    A = spec.A
     n = spec.n
-    scale = max(1.0, float(A.max()), -float(A.min()))
-    asymmetry = _max_asymmetry(A)
-    if asymmetry > SYM_TOL * scale:
-        raise AsymmetricA(f"max asymmetry {asymmetry:.3e}")
-    # eigvalsh and the Cholesky read the lower triangle, and Lanczos all of A;
-    # the two triangles differ by at most SYM_TOL * scale
-    if n <= EIGVALSH_MAX_N:
-        evals = np.linalg.eigvalsh(A)
-        lam_max = max(evals[-1], 0.0)
-        if evals[0] < -PSD_TOL * max(lam_max, 1.0):
-            raise NotPSD(f"smallest eigenvalue {evals[0]:.3e}")
+    if spec.cov.factored:
+        lam_max = max(spec.cov.lambda_max(), 0.0)
     else:
-        lam_max = max(max_eigenvalue(A), 0.0)
-        shift = PSD_TOL * max(lam_max, 1.0)
-        shifted = A.copy()
-        shifted.flat[:: n + 1] += shift
-        # shifted.T is Fortran-ordered, so LAPACK factors it in place; its
-        # upper triangle is the lower triangle of A
-        info = dpotrf(shifted.T, lower=0, overwrite_a=1, clean=0)[1]
-        del shifted
-        if info:
-            raise NotPSD(f"smallest eigenvalue below {-shift:.3e}: A + {shift:.3e} I is not positive definite")
+        A = spec.A
+        scale = max(1.0, float(A.max()), -float(A.min()))
+        asymmetry = _max_asymmetry(A)
+        if asymmetry > SYM_TOL * scale:
+            raise AsymmetricA(f"max asymmetry {asymmetry:.3e}")
+        # eigvalsh and the Cholesky read the lower triangle, and Lanczos all of A;
+        # the two triangles differ by at most SYM_TOL * scale
+        if n <= EIGVALSH_MAX_N:
+            evals = np.linalg.eigvalsh(A)
+            lam_max = max(evals[-1], 0.0)
+            if evals[0] < -PSD_TOL * max(lam_max, 1.0):
+                raise NotPSD(f"smallest eigenvalue {evals[0]:.3e}")
+        else:
+            lam_max = max(max_eigenvalue(A), 0.0)
+            shift = PSD_TOL * max(lam_max, 1.0)
+            shifted = A.copy()
+            shifted.flat[:: n + 1] += shift
+            # shifted.T is Fortran-ordered, so LAPACK factors it in place; its
+            # upper triangle is the lower triangle of A
+            info = dpotrf(shifted.T, lower=0, overwrite_a=1, clean=0)[1]
+            del shifted
+            if info:
+                raise NotPSD(f"smallest eigenvalue below {-shift:.3e}: A + {shift:.3e} I is not positive definite")
     if spec.tau <= 0:
         raise BadTau(f"tau must be positive, got {spec.tau}")
     if not 1 <= spec.k <= spec.n:
@@ -293,10 +519,14 @@ def max_eigenvalue(A: np.ndarray) -> float:
     247 steps, 150 ms). The basis grows by doubling, so it holds
     O(n * steps) floats.
     validate_problem calls it above EIGVALSH_MAX_N assets; below, one eigvalsh
-    is cheaper than the steps' fixed overhead.
+    is cheaper than the steps' fixed overhead. A may also be a covariance
+    operator, whose matvec is then the product (O(n*m) in factor form).
     """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[0]
+    if isinstance(A, FactorCovariance):
+        n, product = A.n, A.matvec
+    else:
+        A = np.asarray(A, dtype=float)
+        n, product = A.shape[0], A.__matmul__
     q = np.random.default_rng(0).standard_normal(n)
     Q = np.empty((min(n, 16), n))  # row j: the j-th Lanczos vector; grows by doubling
     Q[0] = q / np.sqrt(q @ q)
@@ -304,7 +534,7 @@ def max_eigenvalue(A: np.ndarray) -> float:
     tol = np.sqrt(n) * np.finfo(float).eps
     scale = 0.0
     for j in range(n):
-        w = A @ Q[j]
+        w = product(Q[j])
         basis = Q[: j + 1]
         h = basis @ w
         alpha[j] = h[j]
@@ -344,14 +574,15 @@ def objective_f(spec: ProblemSpec, x: np.ndarray) -> float:
 
     Above SUPPORT_OBJECTIVE_MIN_N assets, an x with at most n / 4 nonzeros,
     such as a k-sparse portfolio, is evaluated on its support S, in
-    O(|S|^2) after an O(n) scan; any other x by one product with A, in O(n^2).
+    O(|S|^2) after an O(n) scan (O(|S|*m) in factor form); any other x by one
+    product with A, in O(n^2) (O(n*m)).
     """
     x = _check_dim(spec, x, "x")
     if spec.n > SUPPORT_OBJECTIVE_MIN_N and 4 * np.count_nonzero(x) <= spec.n:
         S = np.flatnonzero(x)
         z = x[S]
-        return float(z @ (spec.A[np.ix_(S, S)] @ z) - spec.tau * (spec.mu[S] @ z))
-    return float(x @ (spec.A @ x) - spec.tau * (spec.mu @ x))
+        return float(spec.cov.quad_on(S, z) - spec.tau * (spec.mu[S] @ z))
+    return float(spec.cov.quad(x) - spec.tau * (spec.mu @ x))
 
 
 def penalty_q(spec: ProblemSpec, rho: float, x: np.ndarray, y: np.ndarray) -> float:

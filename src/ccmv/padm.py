@@ -20,7 +20,7 @@ from .model import (
     SolverConfig,
     STATUS_CONVERGED,
     STATUS_MAX_ITERATIONS,
-    max_eigenvalue,
+    max_eigenvalue,  # unused here; benchmark/run.py traces it as padm.max_eigenvalue
     objective_f,
     validate_problem,
 )
@@ -62,8 +62,9 @@ def padm_x_step(
     """
     y = np.asarray(y, dtype=float)
     n = spec.n
+    matvec = spec.cov.matvec
     if lam_max is None:
-        lam_max = max_eigenvalue(spec.A)
+        lam_max = spec.cov.lambda_max()
     max_iter = max(10 * n, 500)
     gamma = 1.0 / (2.0 * lam_max + 2.0 * rho)
     z = np.full(n, 1.0 / n) if x0 is None else np.asarray(x0, dtype=float).copy()
@@ -71,7 +72,7 @@ def padm_x_step(
     phi_prev = np.inf
     for it in range(max_iter):
         x = _project_simplex(z)
-        grad = 2.0 * (spec.A @ x) - spec.tau * spec.mu
+        grad = 2.0 * matvec(x) - spec.tau * spec.mu
         v = 2.0 * x - z - gamma * grad
         # shrinkage toward y with threshold gamma*rho
         d = v - y

@@ -16,7 +16,11 @@ spaces as they are. So when its a-priori cost is below two Choleskys (at
 n = 1000, k = 10), the first level runs one block of conjugate-gradient
 solves on those rows, and each later level replays its recurrences at its
 own rho (multi-shift CG), with no product with A; one true residual checks
-each level. Other levels factor A + rho*I by Cholesky.
+each level. Other levels factor A + rho*I by Cholesky. A covariance in
+factor form, A = G G' + diag(d) with G n x m and m small beside n
+(model.FACTOR_RANK_RATIO), is never formed: every level solves by Woodbury
+from one m x m Cholesky, and every read of A (rows on a support, the
+diagonal, products) costs O(n*m) per row through the spec's operator.
 The discovered support and the seed's support (once, when they are the
 same) are then polished by the same finite primal active-set solve of the
 convex QP restricted to a support (exact for any support size), which keeps
@@ -29,6 +33,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.linalg import cho_factor, LinAlgError
@@ -238,7 +243,9 @@ def _cg(A: np.ndarray, rho: float, lam_max: float, B: np.ndarray, support=()) ->
 class PenaltyFactorization:
     """The solves with (A + rho*I) that the x-steps of one penalty level reuse.
 
-    A level is one of two kinds. A Cholesky level factors A + rho*I once
+    A factor-form covariance makes a Woodbury level (woodbury), which solves
+    rows in O(n*m) each from one m x m Cholesky and is never a CG level. A
+    dense A makes one of two kinds. A Cholesky level factors A + rho*I once
     (chol) and solves by LAPACK backsolves. A CG level keeps no factor: the
     CG run made at the first level (run; steps is its step count) gives its
     s, t and cached columns, at the first level directly and at a later one
@@ -268,8 +275,9 @@ class PenaltyFactorization:
     slot: np.ndarray   # row of column i in cols, -1 if not cached
     jumps: int = 0     # jumps accepted by the level's bcd_inner
     A: np.ndarray | None = None  # the spec's A, for a CG level's products
+    woodbury: Callable | None = None  # a Woodbury level's solve; see FactorCovariance
     run: CGRun | None = None  # the run that serves the level, for the next level's replay
-    steps: int = 0     # CG steps of that run; 0 on a Cholesky level
+    steps: int = 0     # CG steps of that run; 0 on a Cholesky or Woodbury level
     cg_rows: int = 0   # rows solved by CG after the level was built
     fallback: bool = False  # a CG solve failed its check and the level factored
 
@@ -293,13 +301,16 @@ class PenaltyFactorization:
     def solve(self, B: np.ndarray) -> np.ndarray:
         """Rows B (A + rho I)^{-1}, that is (A + rho I)^{-1} b for each row b of B.
 
-        A Cholesky level makes one LAPACK potrs call; ProblemSpec checked A
-        once, so this skips cho_solve's per-call checks, which cost several
-        times the backsolve itself at small n. A CG level runs CG on all rows
+        A Woodbury level applies its solve. A Cholesky level makes one LAPACK
+        potrs call; ProblemSpec checked A once, so this skips cho_solve's
+        per-call checks, which cost several times the backsolve itself at
+        small n. A CG level runs CG on all rows
         at once and checks the result. It factors if the run or the check
         fails, or if the rows it has solved this way would break
         CG_FLOP_RATIO's bound.
         """
+        if self.woodbury is not None:
+            return self.woodbury(B)
         if self.chol is None:
             self.cg_rows += B.shape[0]
             lam_max = self.run.lam_max
@@ -325,7 +336,11 @@ def build_factorization(spec: ProblemSpec, rho: float, lam_max: float | None = N
                         support=(), run: CGRun | None = None) -> PenaltyFactorization:
     """The solves of one penalty level: s, t and a column cache (or none).
 
-    Given the run of an earlier level, the level replays it at rho. Given
+    A factor-form covariance (spec.cov.factored) makes a Woodbury level: one
+    O(n*m^2) product and an m x m Cholesky, then s, t and each cached column
+    by Woodbury in O(n*m), with no CG run, no replay and no n x n array;
+    lam_max, support and run are not used and its steps are 0. For a dense
+    A, given the run of an earlier level, the level replays it at rho. Given
     lam_max(A) instead, a level with a column cache runs CG on e, tau*mu and
     the columns of support when that costs less than two Choleskys by the
     a-priori bound, CG_FLOP_RATIO * _chebyshev_steps(rho, lam_max) *
@@ -337,22 +352,27 @@ def build_factorization(spec: ProblemSpec, rho: float, lam_max: float | None = N
     n = spec.n
     cols = np.empty((0, n)) if spec.k <= n // CACHE_DIVISOR else None
     fact = PenaltyFactorization(rho=float(rho), chol=None, s=None, t=None, ets=0.0, ett=0.0,
-                                cols=cols, slot=np.full(n, -1), A=spec.A)
-    tried = run is not None
-    if run is None and lam_max is not None and cols is not None:
-        S = np.asarray(support, dtype=np.intp)
-        if CG_FLOP_RATIO * _chebyshev_steps(fact.rho, lam_max) * (S.size + 2) < 2 * n:
-            B = np.vstack((np.ones(n), spec.tau * spec.mu, _unit_rows(n, S)))
-            run, tried = _cg(spec.A, fact.rho, lam_max, B, S), True
-    X = None if run is None else run.replay(spec.A, fact.rho)
-    if X is not None:
-        fact.run, fact.steps = run, run.steps
-        fact.cols = X[2:]
-        fact.slot[run.support] = np.arange(run.support.size)
-    else:
-        fact.fallback = tried
-        fact.chol = _cholesky(spec.A, fact.rho)
+                                cols=cols, slot=np.full(n, -1))
+    if spec.cov.factored:
+        fact.woodbury = spec.cov.shifted_solver(fact.rho)
         X = fact.solve(np.vstack((np.ones(n), spec.tau * spec.mu)))
+    else:
+        fact.A = spec.A
+        tried = run is not None
+        if run is None and lam_max is not None and cols is not None:
+            S = np.asarray(support, dtype=np.intp)
+            if CG_FLOP_RATIO * _chebyshev_steps(fact.rho, lam_max) * (S.size + 2) < 2 * n:
+                B = np.vstack((np.ones(n), spec.tau * spec.mu, _unit_rows(n, S)))
+                run, tried = _cg(spec.A, fact.rho, lam_max, B, S), True
+        X = None if run is None else run.replay(spec.A, fact.rho)
+        if X is not None:
+            fact.run, fact.steps = run, run.steps
+            fact.cols = X[2:]
+            fact.slot[run.support] = np.arange(run.support.size)
+        else:
+            fact.fallback = tried
+            fact.chol = _cholesky(spec.A, fact.rho)
+            X = fact.solve(np.vstack((np.ones(n), spec.tau * spec.mu)))
     fact.s, fact.t = X[0], X[1]
     fact.ets, fact.ett = float(fact.s.sum()), float(fact.t.sum())
     if fact.ets <= 0:  # pragma: no cover - impossible for SPD matrices
@@ -428,7 +448,7 @@ def _merit(fact: PenaltyFactorization, spec: ProblemSpec, x: np.ndarray,
     r = x - y
     # y_old'A[S] for A y_old: A is symmetric (to SYM_TOL); tau*mu'd/2 - tau*mu'x
     # is folded into -tau*(mu'x + mu'y_old)/2
-    q = (x.dot(yS.dot(spec.A[S])) - 0.5 * spec.tau * (spec.mu.dot(x) + spec.mu[S].dot(yS))
+    q = (x.dot(spec.cov.product_on(S, yS)) - 0.5 * spec.tau * (spec.mu.dot(x) + spec.mu[S].dot(yS))
          + 0.5 * b * d.sum() - fact.rho * (d.dot(d) - r.dot(r)))
     return float(q)
 
@@ -464,7 +484,7 @@ def _saddle_point(fact: PenaltyFactorization, spec: ProblemSpec,
     if W is None:
         W = fact.solve(_unit_rows(spec.n, S))
     rho = fact.rho
-    P = rho * (spec.A[S] @ W.T)
+    P = rho * (spec.cov.rows(S) @ W.T)
     P = 0.5 * (P + P.T)
     u = rho * fact.s[S]
     r1 = 0.5 * rho * fact.t[S]
@@ -618,12 +638,13 @@ def _active_set(spec: ProblemSpec, idx: np.ndarray) -> np.ndarray:
     solve; its pivot is the curvature along the face's new direction, so a
     zero-curvature direction shows there. A drop refactors the smaller face.
     z is zero off F, so the gradient needs only the rows of H on F, each
-    gathered once, when its index is released. A step costs
-    O(|idx|*|F| + |F|^2), and a drop O(|F|^3) more.
+    gathered once, when its index is released (O(|idx|*m) for a factor form
+    of rank m). A step costs O(|idx|*|F| + |F|^2), and a drop O(|F|^3) more.
+    idx holds distinct indices.
     """
-    A = spec.A
+    row = spec.cov.row_reader(idx)  # row(j) = A[idx[j], idx]
     m = idx.size
-    d = 2.0 * A[idx, idx]
+    d = 2.0 * spec.cov.diag(idx)
     c = spec.tau * spec.mu[idx]
     # A is PSD, so the largest |H_ij| sits on the diagonal
     h_scale = float(np.abs(d).max())
@@ -635,7 +656,7 @@ def _active_set(spec: ProblemSpec, idx: np.ndarray) -> np.ndarray:
     F[0] = int(np.argmin(0.5 * d - c))
     z[F[0]] = 1.0
     H = np.empty((min(m, 16), m))  # row r: row F[r] of H = 2*A_idx; grows by doubling
-    H[0] = 2.0 * A[idx[F[0]], idx]
+    H[0] = 2.0 * row(F[0])
     L = np.ones((1, 1))
     nf = 1
     at_face_min = True
@@ -651,7 +672,7 @@ def _active_set(spec: ProblemSpec, idx: np.ndarray) -> np.ndarray:
             if nf == H.shape[0]:
                 H = np.vstack((H, np.empty((min(nf, m - nf), m))))
             a = F[0]
-            F[nf], H[nf] = i, 2.0 * A[idx[i], idx]
+            F[nf], H[nf] = i, 2.0 * row(i)
             w = dtrtrs(L, H[:nf, i] - H[:nf, a] - H[0, i] + H[0, a], lower=1)[0]
             pivot = d[i] - 2.0 * H[0, i] + H[0, a] - w @ w
             # the face's new direction with least curvature (pivot); f falls along it at lam_i
@@ -701,14 +722,15 @@ def polish_support(spec: ProblemSpec, support) -> tuple[np.ndarray, float]:
     """Exact solve of the problem restricted to a support: zeros stay hard zeros.
 
     Returns (x, f(x)) for the global minimizer x of the convex QP
-    min x'Ax - tau*mu'x over {e'x = 1, x >= 0, x_i = 0 off the support}, found
-    by the finite active-set kernel _active_set. On its free set F, a step
-    costs O(|S|*|F| + |F|^2) from a Cholesky factor updated as an index
-    enters, and a drop O(|F|^3) more, for any support size |S|. x is zero off
+    min x'Ax - tau*mu'x over {e'x = 1, x >= 0, x_i = 0 off the support} (an
+    index listed twice counts once), found by the finite active-set kernel
+    _active_set. On its free set F, a step costs O(|S|*|F| + |F|^2) from a
+    Cholesky factor updated as an index enters, and a drop O(|F|^3) more,
+    for any support size |S|. x is zero off
     the support, so above SUPPORT_OBJECTIVE_MIN_N assets objective_f
     evaluates f(x) on it, in O(|S|^2), for any |S| <= n / 4.
     """
-    support = tuple(sorted(int(i) for i in support))
+    support = tuple(sorted({int(i) for i in support}))
     if not support:
         raise BadSupport("empty support")
     x = _active_set(spec, np.array(support))
@@ -726,7 +748,7 @@ def kkt_check(spec: ProblemSpec, x: np.ndarray, support) -> KktCertificate:
     if not support:
         raise BadSupport("empty support")
     x = np.asarray(x, dtype=float)
-    g = 2.0 * (spec.A @ x) - spec.tau * spec.mu
+    g = 2.0 * spec.cov.matvec(x) - spec.tau * spec.mu
     pos = [i for i in support if x[i] > ACTIVE_TOL]
     if pos:
         beta = float(-np.mean(g[pos]))

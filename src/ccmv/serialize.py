@@ -74,24 +74,79 @@ def _checked(raw, keys, where: str) -> dict:
     return raw
 
 
+# a scalar field's type name (as dataclass fields give it) -> its Python type, the
+# JSON values it accepts and their name; a bool is never a number
+_SCALARS = {"float": (float, (int, float), "a number"), "int": (int, (int,), "an integer"),
+            "str": (str, (str,), "a string")}
+
+
+def _scalar(raw: dict, key: str, kind: str, where: str):
+    """raw[key] as the type named kind; BadData naming the key when the JSON value is not of it."""
+    value = raw[key]
+    convert, accepted, name = _SCALARS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise BadData(f"{where}: {key!r} must be {name}, got {value!r:.40}")
+    return convert(value)
+
+
+def _array(raw: dict, key: str, where: str, ndim: int, kinds: str = "iuf") -> np.ndarray:
+    """raw[key] as an ndim-dimensional array of JSON numbers (integers only for kinds="iu")."""
+    try:
+        a = np.array(raw[key])
+    except ValueError:  # ragged nesting
+        a = None
+    if a is None or a.ndim != ndim or (a.size and a.dtype.kind not in kinds):
+        what = "integers" if kinds == "iu" else "numbers"
+        raise BadData(f"{where}: {key!r} must be a {ndim}-dimensional array of {what}, "
+                      f"got {raw[key]!r:.40}")
+    return a
+
+
 def read_problem_json(path: str | Path, tau=None, k=None) -> ProblemSpec:
-    """Parse {"A": [[...]], "mu": [...], "tau": t, "k": k}; tau/k overridable."""
-    raw = _checked(_load_json(path), ("A", "mu"), str(path))
-    tau = raw.get("tau") if tau is None else tau
-    k = raw.get("k") if k is None else k
+    """Parse a problem: {"A": [[...]], "mu": [...], "tau": t, "k": k}, tau/k overridable.
+
+    In place of "A" the file may give the factor form {"G": [[...]], "d": [...]},
+    A = G G' + diag(d) with G n x m and d >= 0; exactly one of the two forms.
+    A value of the wrong type or shape is BadData naming its key.
+    """
+    where = str(path)
+    raw = _checked(_load_json(path), ("mu",), where)
+    factor = "G" in raw or "d" in raw
+    if factor == ("A" in raw):
+        raise BadData(f"{where}: give either 'A' or 'G' and 'd'")
+    mu = _array(raw, "mu", where, 1)
+    n = mu.size
+    if factor:
+        _checked(raw, ("G", "d"), where)
+        G, d = _array(raw, "G", where, 2), _array(raw, "d", where, 1)
+        if G.shape[0] != n or G.shape[1] < 1:
+            raise BadData(f"{where}: 'G' must be {n} x m with m >= 1, got shape {G.shape}")
+        if d.size != n:
+            raise BadData(f"{where}: 'd' must have length {n}, got {d.size}")
+        if d.size and d.min() < 0:
+            raise BadData(f"{where}: 'd' must be >= 0, got {d.min()!r}")
+        cov = {"G": G, "d": d}
+    else:
+        A = _array(raw, "A", where, 2)
+        if A.shape != (n, n):
+            raise BadData(f"{where}: 'A' must be {n} x {n}, got shape {A.shape}")
+        cov = {"A": A}
+    if tau is None and raw.get("tau") is not None:
+        tau = _scalar(raw, "tau", "float", where)
+    if k is None and raw.get("k") is not None:
+        k = _scalar(raw, "k", "int", where)
     if tau is None or k is None:
-        raise BadData(f"{path}: tau and k must come from the file or the command line")
-    return ProblemSpec(A=np.array(raw["A"], dtype=float),
-                       mu=np.array(raw["mu"], dtype=float), tau=tau, k=k)
+        raise BadData(f"{where}: tau and k must come from the file or the command line")
+    return ProblemSpec(mu=mu, tau=tau, k=k, **cov)
 
 
 def write_problem_json(path: str | Path, spec: ProblemSpec) -> None:
-    payload = {
-        "A": [[float(v) for v in row] for row in spec.A],
-        "mu": [float(v) for v in spec.mu],
-        "tau": spec.tau,
-        "k": spec.k,
-    }
+    """The problem JSON: G and d for a factor-form spec, else A."""
+    if spec.G is None:
+        payload = {"A": [[float(v) for v in row] for row in spec.A]}
+    else:
+        payload = {"G": [[float(v) for v in row] for row in spec.G], "d": [float(v) for v in spec.d]}
+    payload.update({"mu": [float(v) for v in spec.mu], "tau": spec.tau, "k": spec.k})
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
@@ -130,26 +185,42 @@ def solution_to_json(sol: Solution) -> str:
 
 
 def solution_from_dict(raw: dict) -> Solution:
-    """Inverse of solution_to_dict; the KKT multipliers lam are not written and read back as zeros."""
+    """Inverse of solution_to_dict; the KKT multipliers lam are not written and read back as zeros.
+
+    A missing key, or a value of the wrong type or shape, is BadData naming it.
+    """
     raw = _checked(raw, ("weights", "support", "objective", "status"), "solution")
+    weights = _array(raw, "weights", "solution", 1).astype(float)
+    support = tuple(int(i) for i in _array(raw, "support", "solution", 1, kinds="iu"))
     kkt = None
     if raw.get("kkt") is not None:
         rk = _checked(raw["kkt"], KKT_KEYS.values(), "kkt")
-        kkt = KktCertificate(lam=np.zeros(len(raw["weights"])), support=tuple(raw["support"]),
-                             **{name: rk[key] for name, key in KKT_KEYS.items()})
+        kkt = KktCertificate(lam=np.zeros(weights.size), support=support,
+                             **{name: _scalar(rk, key, "float", "kkt") for name, key in KKT_KEYS.items()})
+    trace = raw.get("trace", [])
+    if not isinstance(trace, list):
+        raise BadData(f"solution: 'trace' must be a list, got {trace!r:.40}")
     required = [f.name for f in TRACE_FIELDS if f.default is MISSING]
-    levels = [_checked(r, required, f"trace level {j}") for j, r in enumerate(raw.get("trace", []))]
+    levels = []
+    for j, r in enumerate(trace):
+        where = f"trace level {j}"
+        r = _checked(r, required, where)
+        # f.type is the annotation as a string: "float", "int" or "str"
+        levels.append(OuterRecord(**{f.name: _scalar(r, f.name, f.type, where)
+                                     for f in TRACE_FIELDS if f.name in r}))
+    optional = {key: _scalar(raw, key, kind, "solution")
+                for key, kind in (("solver", "str"), ("safeguard_resets", "int"), ("wall_time", "float"))
+                if key in raw}
+    upsilon = raw.get("upsilon")
     return Solution(
-        weights=np.array(raw["weights"], dtype=float),
-        support=tuple(raw["support"]),
-        objective=float(raw["objective"]),
+        weights=weights,
+        support=support,
+        objective=_scalar(raw, "objective", "float", "solution"),
         kkt=kkt,
-        status=raw["status"],
-        trace=[OuterRecord(**{f.name: r[f.name] for f in TRACE_FIELDS if f.name in r}) for r in levels],
-        solver=raw.get("solver", ""),
-        safeguard_resets=int(raw.get("safeguard_resets", 0)),
-        wall_time=float(raw.get("wall_time", 0.0)),
-        upsilon=float("nan") if raw.get("upsilon") is None else float(raw["upsilon"]),
+        status=_scalar(raw, "status", "str", "solution"),
+        trace=levels,
+        upsilon=float("nan") if upsilon is None else _scalar(raw, "upsilon", "float", "solution"),
+        **optional,
     )
 
 

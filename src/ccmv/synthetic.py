@@ -8,20 +8,21 @@ from .model import ProblemSpec
 
 
 def factor_model_instance(n: int, k: int, tau: float = 0.5, seed: int = 0) -> ProblemSpec:
-    """A = FF'/m + d*I with n x m standard-normal loadings, fully seeded.
+    """A = G G' + d*I in factor form, G = F / sqrt(m) for n x m standard-normal loadings F.
 
-    m = max(5, n // 20); d = 0.01 * trace(FF'/m) / n keeps the matrix well
-    conditioned. mu is uniform on [0, 0.1].
+    Fully seeded. m = max(5, n // 20); d = 0.01 * trace(G G') / n keeps the
+    matrix well conditioned. mu is uniform on [0, 0.1]. No n x n array is
+    made: the spec holds G and d, and ProblemSpec forms A only where the rank
+    is not small beside n (FACTOR_RANK_RATIO), as below n = 20.
     """
     rng = np.random.default_rng(seed)
     m = max(5, n // 20)
-    F = rng.standard_normal((n, m))
-    A = F @ F.T / m
-    d = 0.01 * np.trace(A) / n
-    A = A + d * np.eye(n)
-    A = 0.5 * (A + A.T)
+    G = rng.standard_normal((n, m))
+    G /= np.sqrt(m)
+    G.setflags(write=False)  # ProblemSpec keeps a read-only array without copying it
+    d = np.full(n, 0.01 * np.vdot(G, G) / n)
     mu = rng.uniform(0.0, 0.1, size=n)
-    return ProblemSpec(A=A, mu=mu, tau=tau, k=k)
+    return ProblemSpec(G=G, d=d, mu=mu, tau=tau, k=k)
 
 
 def monthly_returns_instance(n: int, k: int, tau: float = 0.5, seed: int = 0,

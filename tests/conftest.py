@@ -100,6 +100,16 @@ def degenerate_specs(draw, max_n):
     return ProblemSpec(0.5 * (A + A.T), mu, tau=tau, k=n)
 
 
+def dense(spec):
+    """The same instance with its covariance given as the dense matrix spec.A.
+
+    For tests of the dense solve path (Cholesky, CG and replay levels, the
+    dense spectral checks) on instances that factor_model_instance returns in
+    factor form.
+    """
+    return ProblemSpec(spec.A, spec.mu, tau=spec.tau, k=spec.k)
+
+
 @pytest.fixture
 def toy_spec():
     """n=3 identity instance: global optimum for k=1 is e_0 with f = 0.7."""

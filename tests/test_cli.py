@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from ccmv import ReturnsMatrix, ccmv_pd_solve
+from ccmv import ReturnsMatrix, ccmv_pd_solve, model
 from ccmv.cli import EXIT_INPUT_ERROR, EXIT_OK, main
 from ccmv.serialize import write_problem_json, write_returns_csv
-from ccmv.synthetic import random_psd_instance
+from ccmv.synthetic import factor_model_instance, random_psd_instance
 
 
 def make_spec_file(tmp_path, n=5, k=2, seed=7):
@@ -125,6 +125,19 @@ class TestCompare:
         assert solvers == {"pd", "padm"}
         for r in rows:
             assert "return_gap" in r and r["return_gap"] >= 0.0
+
+    def test_k_sweep_keeps_the_factor_form(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "spec.json"
+        write_problem_json(path, factor_model_instance(100, 2, seed=0))
+
+        def forbidden(G, d):
+            raise AssertionError("A formed from its factors")
+
+        monkeypatch.setattr(model, "dense_covariance", forbidden)
+        rc = main(["compare", "--spec", str(path), "--k-sweep", "2", "3", "--solvers", "pd", "padm"])
+        assert rc == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)
+        assert [(r["solver"], r["k"]) for r in rows] == [("pd", 2), ("padm", 2), ("pd", 3), ("padm", 3)]
 
     def test_k_sweep(self, tmp_path, capsys):
         spec_path, _ = make_spec_file(tmp_path)

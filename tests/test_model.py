@@ -27,6 +27,8 @@ from ccmv.errors import (
 from ccmv.model import EIGVALSH_MAX_N, SYM_TILE, _max_asymmetry
 from ccmv.synthetic import factor_model_instance, monthly_returns_instance
 
+from conftest import dense
+
 
 class TestFrozenInputs:
     def test_spec_freezes_a_copy_not_the_callers_arrays(self):
@@ -211,7 +213,7 @@ class TestValidateProblemAboveCrossover:
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
         monkeypatch.setattr(scipy.linalg, "eigh", forbidden)
-        sol = ccmv_pd_solve(factor_model_instance(1000, 10, seed=0))
+        sol = ccmv_pd_solve(dense(factor_model_instance(1000, 10, seed=0)))
         assert sol.kkt_residual <= 1e-8
 
 

@@ -32,7 +32,7 @@ from ccmv.synthetic import (
     random_psd_instance,
 )
 
-from conftest import assert_feasible, degenerate_specs, enumerate_restricted_qp
+from conftest import assert_feasible, degenerate_specs, dense, enumerate_restricted_qp
 
 
 def restricted_kkt_solve(spec, rho, support):
@@ -426,7 +426,7 @@ class TestChebyshevLevel:
     def test_replay_far_from_the_run(self, monkeypatch):
         # 40 levels of zeta = 10: each row's shifted residual reaches its stop
         # within a step or two, before pi_j could underflow
-        spec = factor_model_instance(226, 10, seed=0)
+        spec = dense(factor_model_instance(226, 10, seed=0))
         lam = validate_problem(spec)
         S = np.flatnonzero(y_step(dense_simplex_minimizer(spec), spec.k))
         monkeypatch.setattr(pd, "CG_FLOP_RATIO", 0)
@@ -439,7 +439,7 @@ class TestChebyshevLevel:
                 assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
     def test_failed_check_falls_back_to_cholesky(self, monkeypatch):
-        spec = factor_model_instance(226, 10, seed=0)
+        spec = dense(factor_model_instance(226, 10, seed=0))
         lam = validate_problem(spec)
         y = y_step(dense_simplex_minimizer(spec), spec.k)
         S = np.flatnonzero(y)
@@ -467,7 +467,7 @@ class TestChebyshevLevel:
                 np.testing.assert_array_equal(a, b)
 
     def test_factors_once_cg_work_reaches_cholesky(self):
-        spec = factor_model_instance(1000, 10, seed=0)
+        spec = dense(factor_model_instance(1000, 10, seed=0))
         lam = validate_problem(spec)
         S = np.arange(10)
         run = build_factorization(spec, lam + 1.0, lam, S).run
@@ -487,7 +487,7 @@ class TestChebyshevLevel:
         assert np.abs(fact.support_columns(everything) - W).max() <= 1e-12 * np.abs(W).max()
 
     def test_fallback_recorded_in_trace(self, monkeypatch):
-        spec = factor_model_instance(226, 10, seed=0)
+        spec = dense(factor_model_instance(226, 10, seed=0))
         reference = ccmv_pd_solve(spec)  # every level factors at n = 226
         monkeypatch.setattr(pd, "CG_FLOP_RATIO", 0)
         build = pd.build_factorization
@@ -511,7 +511,7 @@ class TestChebyshevLevel:
     # solve_steps per level: n = 1000 serves every level by the first level's
     # CG run, and the backtest's and the sandwich's sizes keep only Cholesky levels
     @pytest.mark.parametrize("make, expected", [
-        (lambda seed: factor_model_instance(1000, 10, seed=seed), (14, 14, 14)),
+        (lambda seed: dense(factor_model_instance(1000, 10, seed=seed)), (14, 14, 14)),
         (lambda seed: monthly_returns_instance(100, 10, seed=seed), None),
         (lambda seed: factor_model_instance(10, 4, seed=seed), None),
         (lambda seed: factor_model_instance(10, 5, seed=seed), None),
@@ -537,6 +537,17 @@ class TestPolishSupport:
     def test_empty_support_rejected(self, toy_spec):
         with pytest.raises(BadSupport):
             polish_support(toy_spec, ())
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_psd_instance(n=7, k=3, seed=2),
+        lambda: factor_model_instance(40, 3, seed=2),  # rows read through the factors
+    ], ids=["dense", "factor"])
+    def test_repeated_index_counts_once(self, make):
+        spec = make()
+        x, f = polish_support(spec, (4, 1, 4, 1, 6))
+        x_ref, f_ref = polish_support(spec, (1, 4, 6))
+        np.testing.assert_array_equal(x, x_ref)
+        assert f == f_ref
 
     def test_iteration_guard_raises(self, monkeypatch):
         import ccmv.pd
@@ -815,6 +826,18 @@ class TestCcmvPdSolve:
         spec = self.INSTANCES[kind](seed)
         support, f, iters, jumps = self.REFERENCE_PATHS[kind, seed]
         sol = ccmv_pd_solve(spec)
+        assert sol.support == support
+        assert abs(sol.objective - f) <= 1e-10 * (1.0 + abs(f))
+        assert tuple(r.inner_iters for r in sol.trace) == iters
+        assert tuple(r.jumps for r in sol.trace) == jumps
+
+    # factor_model_instance gives the factor form; the same paths in the dense form
+    @pytest.mark.parametrize("kind, seed", sorted(k for k in REFERENCE_PATHS if k[0].startswith("factor")))
+    def test_same_path_as_reference_in_dense_form(self, kind, seed):
+        spec = self.INSTANCES[kind](seed)
+        assert spec.cov.factored
+        support, f, iters, jumps = self.REFERENCE_PATHS[kind, seed]
+        sol = ccmv_pd_solve(dense(spec))
         assert sol.support == support
         assert abs(sol.objective - f) <= 1e-10 * (1.0 + abs(f))
         assert tuple(r.inner_iters for r in sol.trace) == iters

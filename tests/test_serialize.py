@@ -21,6 +21,8 @@ from ccmv.serialize import (
 )
 from ccmv.synthetic import factor_model_instance, monthly_returns_instance, random_psd_instance
 
+from conftest import dense
+
 
 class TestReturnsCsv:
     def test_roundtrip(self, tmp_path):
@@ -93,13 +95,61 @@ class TestProblemJson:
             read_problem_json(path)
 
 
+    def test_factor_form_roundtrip(self, tmp_path):
+        spec = factor_model_instance(226, 10, seed=0)
+        path = tmp_path / "spec.json"
+        write_problem_json(path, spec)
+        assert set(json.loads(path.read_text())) == {"G", "d", "mu", "tau", "k"}
+        back = read_problem_json(path)
+        assert back.cov.factored
+        for name in ("G", "d", "mu"):
+            np.testing.assert_array_equal(getattr(back, name), getattr(spec, name))
+        assert (back.tau, back.k) == (spec.tau, spec.k)
+
+    def test_small_rank_factor_form_written_as_factors(self, tmp_path):
+        spec = factor_model_instance(10, 4, seed=0)  # solved in dense form
+        path = tmp_path / "spec.json"
+        write_problem_json(path, spec)
+        back = read_problem_json(path)
+        assert "A" not in json.loads(path.read_text()) and not back.cov.factored
+        np.testing.assert_array_equal(back.A, spec.A)
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"A": "abc", "mu": [0.1, 0.2]}, "A"),
+        ({"A": [[1.0, 0.0], [0.0]], "mu": [0.1, 0.2]}, "A"),
+        ({"A": [[1.0, 0.0], [0.0, 1.0]], "mu": [0.1, 0.2, 0.3]}, "A"),
+        ({"G": [[1.0], [2.0, 3.0]], "d": [0.1, 0.1], "mu": [0.1, 0.2]}, "G"),
+        ({"G": [[1.0], [2.0]], "d": [0.1], "mu": [0.1, 0.2]}, "d"),
+        ({"G": [[1.0], [2.0]], "d": [0.1, -0.1], "mu": [0.1, 0.2]}, "d"),
+        ({"G": [[1.0], [2.0]], "d": [0.1, 0.1], "mu": ["x", 0.2]}, "mu"),
+        ({"A": [[1.0]], "mu": [0.1], "k": 1.5}, "k"),
+        ({"A": [[1.0]], "mu": [0.1], "tau": "large"}, "tau"),
+    ], ids=["string-A", "ragged-A", "A-shape", "ragged-G", "d-length", "negative-d",
+            "string-mu", "fractional-k", "string-tau"])
+    def test_malformed_value_names_its_key(self, tmp_path, payload, key):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"tau": 0.5, "k": 1, **payload}))
+        with pytest.raises(BadData, match=f"spec.json: '{key}'"):
+            read_problem_json(path)
+
+    @pytest.mark.parametrize("payload", [
+        {"A": [[1.0]], "G": [[1.0]], "d": [0.0], "mu": [0.1]},
+        {"mu": [0.1]},
+    ], ids=["both", "neither"])
+    def test_exactly_one_covariance_form(self, tmp_path, payload):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"tau": 0.5, "k": 1, **payload}))
+        with pytest.raises(BadData, match="either 'A' or 'G' and 'd'"):
+            read_problem_json(path)
+
+
 def _oracle_solve(spec):
     return brute_force_solve(spec).to_solution()
 
 
 class TestSolutionJson:
     @pytest.mark.parametrize("solve, spec, exercised", [
-        (ccmv_pd_solve, lambda: factor_model_instance(1000, 10, seed=0), "solve_steps"),  # CG levels
+        (ccmv_pd_solve, lambda: dense(factor_model_instance(1000, 10, seed=0)), "solve_steps"),  # CG levels
         (ccmv_pd_solve, lambda: monthly_returns_instance(100, 10, seed=0), "jumps"),
         (ccmv_pd_solve, lambda: factor_model_instance(10, 1, seed=4), "safeguard_resets"),
         (ccmv_padm_solve, lambda: factor_model_instance(10, 4, seed=0), None),
@@ -169,13 +219,31 @@ class TestSolutionJson:
         # n = 1000: the first level's CG run serves every penalty level;
         # n = 226: every level factors
         for n in (1000, 226):
-            sol = ccmv_pd_solve(factor_model_instance(n, 10, seed=0))
+            sol = ccmv_pd_solve(dense(factor_model_instance(n, 10, seed=0)))
             steps = [r.solve_steps for r in sol.trace]
             assert all(steps) if n == 1000 else not any(steps)
             raw = json.loads(solution_to_json(sol))
             # written only for a CG level, as jumps is written only for a level that jumped
             assert ["solve_steps" in r for r in raw["trace"]] == [s > 0 for s in steps]
             assert [r.solve_steps for r in solution_from_dict(raw).trace] == steps
+
+    @pytest.mark.parametrize("change, key", [
+        ({"weights": "abc"}, "weights"),
+        ({"weights": [[1.0, 0.0]]}, "weights"),
+        ({"support": [0.5]}, "support"),
+        ({"objective": "low"}, "objective"),
+        ({"status": 3}, "status"),
+        ({"kkt": {"beta": "x", "stationarity": 0.0, "dual_violation": 0.0, "complementarity": 0.0}},
+         "beta"),
+        ({"trace": [{"rho": 1.0, "inner_iters": "3", "q": 0.0, "infeas": 0.0}]}, "inner_iters"),
+        ({"wall_time": [1.0]}, "wall_time"),
+    ], ids=["string-weights", "matrix-weights", "fractional-support", "string-objective",
+            "numeric-status", "string-kkt", "string-trace", "list-wall-time"])
+    def test_malformed_value_names_its_key(self, change, key):
+        raw = {"weights": [1.0, 0.0], "support": [0], "objective": 0.5, "kkt": None,
+               "status": "converged", **change}
+        with pytest.raises(BadData, match=f"'{key}'"):
+            solution_from_dict(raw)
 
     def test_oracle_solution_without_kkt(self):
         raw = {"weights": [1.0, 0.0], "support": [0], "objective": 0.5,
