@@ -1,8 +1,11 @@
 """Penalty decomposition solver for the k-sparse mean-variance problem.
 
 Seed: the exact minimizer of f over the whole simplex, whose top-k entries
-give the first support. Inner loop: block coordinate descent alternating a
-closed-form solve over the budget hyperplane {e'x = 1} with a
+give the first support, found by the active-set kernel of the polish. For a
+covariance in factor form with d > 0, Newton steps on the seed's dual, which
+has m + 1 variables, guess its free set, and the kernel starts there; any
+other covariance starts it cold. Inner loop: block coordinate descent
+alternating a closed-form solve over the budget hyperplane {e'x = 1} with a
 clamp-and-keep-top-k thresholding step. Once the support S of y stops
 changing, q_rho restricted to {e'x = 1, y = x on S, y = 0 off S} is a convex
 quadratic, and the descent jumps to its minimizer (the saddle point of the
@@ -101,6 +104,24 @@ CG_FLOP_RATIO = 6
 CG_RESIDUAL_TOL = 16.0
 
 FALLBACK_NOTE = "CG solve not at round-off: Cholesky fallback"
+
+# Newton steps on the dense seed's dual (_dual_start) before the kernel starts
+# cold. The guess settles in 6-12 steps on factor_model_instance(1000, 10) and
+# in 12-13 at n = 2000; an ill-conditioned dual would not settle in 50.
+DUAL_STEPS = 20
+# Armijo's sufficient-ascent fraction, and the shortest step before a line
+# search counts as stalled: the first step from nu = 0 is the shortest, 2^-6 to
+# 2^-4 on factor_model_instance at n = 226, 1000 and 2000; the ill-conditioned
+# dual of a d far below G G' needs 2^-19 or less.
+DUAL_ARMIJO = 1e-4
+DUAL_MIN_STEP = 2.0 ** -8
+# A cold kernel releases about one asset for each two steps of 50-60 us at
+# n = 1000, and the dual costs about 1.5-2.5 ms whatever the free set. With
+# fewer than this many negative multipliers at the best vertex (large tau) the
+# cold free set stayed small, and the cold start was the faster one; the
+# measured break-even lay near 100-200 negative multipliers at n = 226, 1000
+# and 2000.
+DUAL_MIN_RELEASABLE = 128
 
 
 def _cholesky(A: np.ndarray, rho: float) -> tuple:
@@ -616,8 +637,31 @@ def bcd_inner(
     return x, y, iterations, q_trace, converged
 
 
-def _active_set(spec: ProblemSpec, idx: np.ndarray) -> np.ndarray:
-    """Minimizer of f over {e'x = 1, x >= 0, x_i = 0 off idx}, as a length-n vector.
+def _gradient_tol(h: np.ndarray, c: np.ndarray) -> float:
+    """Round-off level of the kernel's gradient H z - c on the simplex, for H's diagonal h.
+
+    H is PSD, so its largest entry sits on its diagonal.
+    """
+    return 64.0 * h.size * EPS * (1.0 + float(np.abs(h).max()) + float(np.abs(c).max()))
+
+
+def _face_factor(H: np.ndarray, F: np.ndarray, nf: int) -> tuple[np.ndarray, int]:
+    """dpotrf's (L, info) for M = Z'H_FF Z on the face of the first nf entries of F.
+
+    Row r of H is row F[r] of the kernel's Hessian; row and column 0 of M, the
+    anchor F[0]'s own slot, vanish and are set to the identity.
+    """
+    Hf = H[:nf, F[:nf]]
+    M = Hf - Hf[:, :1] - Hf[:1] + Hf[0, 0]
+    M[0, 0] = 1.0
+    return dpotrf(M, lower=1, clean=1)
+
+
+def _active_set(spec: ProblemSpec, idx: np.ndarray, start=None) -> tuple[np.ndarray, int, bool]:
+    """Minimizer of f over {e'x = 1, x >= 0, x_i = 0 off idx}: (x, steps, warm).
+
+    x is a length-n vector, steps the kernel's steps, and warm tells whether
+    it ran from start.
 
     Primal active-set method (Lawson & Hanson, Solving Least Squares Problems,
     1974, ch. 23) for min z'H z/2 - c'z with H = 2*A_idx and c = tau*mu_idx.
@@ -629,6 +673,15 @@ def _active_set(spec: ProblemSpec, idx: np.ndarray) -> np.ndarray:
     system of this convex problem, so the result is its global minimum. A face
     with a zero-curvature direction (duplicate assets, rank-deficient A_idx)
     is crossed along it to the first blocking bound.
+
+    start = (F0, z0), if given, is a warm start: F0 distinct positions in idx
+    and z0, of length |idx|, a point of the simplex that is zero off F0. The
+    kernel reads the rows of F0 in one spec.cov.rows product, factors the
+    face once and takes its first step towards the face minimizer from z0.
+    A primal active-set method may start from any feasible point and any
+    free set that holds its support, so the result is the same global
+    minimum. A starting face whose factorization fails, or has a pivot at
+    round-off (duplicate assets), is not used: the kernel starts cold.
 
     A face is solved in the anchor basis Z = [e_j - e_a] of {e'p = 0}, with
     a the first entry of F, through the lower Cholesky factor L of
@@ -642,29 +695,43 @@ def _active_set(spec: ProblemSpec, idx: np.ndarray) -> np.ndarray:
     of rank m). A step costs O(|idx|*|F| + |F|^2), and a drop O(|F|^3) more.
     idx holds distinct indices.
     """
-    row = spec.cov.row_reader(idx)  # row(j) = A[idx[j], idx]
     m = idx.size
     d = 2.0 * spec.cov.diag(idx)
     c = spec.tau * spec.mu[idx]
     # A is PSD, so the largest |H_ij| sits on the diagonal
     h_scale = float(np.abs(d).max())
     # round-off level of the gradient and of the curvature of M along a unit p
-    g_tol = 64.0 * m * EPS * (1.0 + h_scale + float(np.abs(c).max()))
+    g_tol = _gradient_tol(d, c)
     curv_tol = 64.0 * m * EPS * h_scale
-    z = np.zeros(m)
+    row = spec.cov.row_reader(idx)  # row(j) = A[idx[j], idx]
     F = np.empty(m, dtype=np.intp)  # free positions in idx, in the order of H's rows
-    F[0] = int(np.argmin(0.5 * d - c))
-    z[F[0]] = 1.0
-    H = np.empty((min(m, 16), m))  # row r: row F[r] of H = 2*A_idx; grows by doubling
-    H[0] = 2.0 * row(F[0])
-    L = np.ones((1, 1))
-    nf = 1
-    at_face_min = True
-    for _ in range(POLISH_STEPS_PER_ASSET * m):
+    warm = start is not None
+    if warm:
+        nf = start[0].size
+        F[:nf] = start[0]
+        R = spec.cov.rows(idx[F[:nf]])
+        if not np.array_equal(idx, np.arange(spec.n)):
+            R = R[:, idx]
+        H = 2.0 * R  # grows by doubling from its nf rows
+        L, info = _face_factor(H, F, nf)
+        warm = not info and (nf == 1 or np.diag(L)[1:].min() ** 2 > nf * curv_tol)
+    if warm:
+        z = np.array(start[1], dtype=float)
+    else:
+        z = np.zeros(m)
+        F[0] = int(np.argmin(0.5 * d - c))
+        z[F[0]] = 1.0
+        H = np.empty((min(m, 16), m))  # row r: row F[r] of H = 2*A_idx; grows by doubling
+        H[0] = 2.0 * row(F[0])
+        L = np.ones((1, 1))
+        nf = 1
+    pbuf = np.empty(m)  # a release's direction on the face, p = pbuf[:nf]
+    at_face_min = not warm
+    for steps in range(1, POLISH_STEPS_PER_ASSET * m + 1):
         g = z[F[:nf]] @ H[:nf] - c
         newton = True
         if at_face_min:
-            lam = g - g[F[:nf]].mean()  # g_i + beta, with beta from g_F + beta*e = 0
+            lam = g - g[F[:nf]].sum() / nf  # g_i + beta, with beta from g_F + beta*e = 0
             lam[F[:nf]] = 0.0
             i = int(np.argmin(lam))
             if lam[i] >= -g_tol:
@@ -676,9 +743,11 @@ def _active_set(spec: ProblemSpec, idx: np.ndarray) -> np.ndarray:
             w = dtrtrs(L, H[:nf, i] - H[:nf, a] - H[0, i] + H[0, a], lower=1)[0]
             pivot = d[i] - 2.0 * H[0, i] + H[0, a] - w @ w
             # the face's new direction with least curvature (pivot); f falls along it at lam_i
-            p = np.append(-dtrtrs(L, w, lower=1, trans=1)[0], 1.0)
-            p[0] = -p.sum()
+            pbuf[:nf] = -dtrtrs(L, w, lower=1, trans=1)[0]
+            pbuf[nf] = 1.0
             nf += 1
+            p = pbuf[:nf]
+            p[0] = -p.sum()
             newton = pivot > curv_tol * (p @ p)
             if newton:
                 L_new = np.zeros((nf, nf), order="F")
@@ -702,10 +771,7 @@ def _active_set(spec: ProblemSpec, idx: np.ndarray) -> np.ndarray:
             # in exact arithmetic the smaller face is positive definite: it is
             # part of a positive definite face, or, after a flat step, it lost
             # the flat direction with the blocking index
-            Hf = H[:nf, F[:nf]]
-            M = Hf - Hf[:, :1] - Hf[:1] + Hf[0, 0]  # Z'H_FF Z; row and column 0 vanish
-            M[0, 0] = 1.0
-            L, info = dpotrf(M, lower=1, clean=1)
+            L, info = _face_factor(H, F, nf)
             if info:
                 raise NumericalBreakdown(f"reduced Hessian of a {nf}-asset face is not positive definite")
         at_face_min = not blocked
@@ -715,7 +781,7 @@ def _active_set(spec: ProblemSpec, idx: np.ndarray) -> np.ndarray:
     x[idx] = z
     pos = idx[z > 0.0]
     x[pos] += (1.0 - x.sum()) / pos.size
-    return x
+    return x, steps, warm
 
 
 def polish_support(spec: ProblemSpec, support) -> tuple[np.ndarray, float]:
@@ -733,7 +799,7 @@ def polish_support(spec: ProblemSpec, support) -> tuple[np.ndarray, float]:
     support = tuple(sorted({int(i) for i in support}))
     if not support:
         raise BadSupport("empty support")
-    x = _active_set(spec, np.array(support))
+    x = _active_set(spec, np.array(support))[0]
     return x, objective_f(spec, x)
 
 
@@ -772,15 +838,131 @@ def kkt_check(spec: ProblemSpec, x: np.ndarray, support) -> KktCertificate:
     )
 
 
+def _water_fill(c: np.ndarray, w: np.ndarray) -> float:
+    """The beta with sum_i max(0, c_i - beta) * w_i = 1, for w > 0.
+
+    With the c_i in decreasing order, beta_p = (sum_{i <= p} c_i w_i - 1) /
+    sum_{i <= p} w_i solves it if the top p terms are the positive ones, that
+    is if c_p > beta_p; beta is the beta_p of the largest such p. p = 1
+    always qualifies in exact arithmetic; when round-off hides 1/w_1 beside
+    c_1, beta_1 = c_1 is returned, and no term is positive.
+    """
+    order = np.argsort(-c)
+    cs, ws = c[order], w[order]
+    betas = (np.cumsum(cs * ws) - 1.0) / np.cumsum(ws)
+    above = np.flatnonzero(cs > betas)
+    return float(betas[above[-1] if above.size else 0])
+
+
+def _dual_start(spec: ProblemSpec) -> tuple[tuple | None, int, str]:
+    """A warm start (F0, z0) for the seed's kernel from its dual: (start, Newton steps, reason).
+
+    For A = G G' + diag(d) with d > 0, the seed's problem has the concave,
+    once differentiable dual in (nu, beta), m + 1 variables,
+
+        q(nu, beta) = -nu'nu/4 - sum_i r_i^2 / (4 d_i) - beta,
+        r = max(0, c - G nu - beta), c = tau*mu,
+
+    whose maximizer gives the seed x = r / (2 d). Semismooth Newton steps
+    (Qi & Sun, Math. Prog. 58, 1993) with an Armijo search maximize it from
+    nu = 0 and the water-filling beta of the diagonal part. On the set P of
+    r > 0 the generalized Hessian is -(diag(I, 0)/2 + B' D_P^{-1} B / 2) with
+    B = [G_P, e_P]: one (m + 1) x (m + 1) Cholesky, and a step costs
+    O(n*m + |P|*m^2 + m^3). Once a full step keeps P, the step was exact on
+    the dual's quadratic piece, and P with x / e'x (feasible, zero off P) is
+    the start.
+
+    No start, and the reason, for a dense covariance; for a d with a zero
+    entry, whose term of q becomes the constraint c_i - G_i nu - beta <= 0;
+    when fewer than DUAL_MIN_RELEASABLE multipliers are negative at the best
+    single-asset vertex, the kernel's cold start (none: it prices optimal; a
+    few: large tau, a small free set the cold kernel reaches faster); when a
+    line search stalls (an ill-conditioned dual, as for a d far below G G');
+    or when DUAL_STEPS Newton steps do not settle P.
+    """
+    cov = spec.cov
+    if not cov.factored:
+        return None, 0, "dense covariance"
+    G, d = cov.G, cov.d
+    if not d.min() > 0.0:
+        return None, 0, "zero in d"
+    n, m = G.shape
+    c = spec.tau * spec.mu
+    # the kernel's first pricing, at its cold start
+    h = 2.0 * cov.diag(np.arange(n))
+    j = int(np.argmin(0.5 * h - c))
+    g = 2.0 * cov.rows(np.array([j]))[0] - c
+    releasable = int(np.count_nonzero(g - g[j] < -_gradient_tol(h, c)))
+    if releasable < DUAL_MIN_RELEASABLE:
+        return None, 0, f"{releasable} negative multipliers at the best vertex"
+    w = 0.5 / d
+
+    def dual(r, nu, beta):  # P, x_P and q at (nu, beta), with r = c - G nu - beta
+        P = np.flatnonzero(r > 0.0)
+        rP = r[P]
+        xP = rP * w[P]
+        return P, xP, -0.25 * (nu @ nu) - 0.5 * (rP @ xP) - beta
+
+    nu, beta = np.zeros(m), _water_fill(c, w)
+    r = c - beta
+    P, xP, q = dual(r, nu, beta)
+    K = np.empty((m + 1, m + 1))
+    for steps in range(1, DUAL_STEPS + 1):
+        GP = G[P]
+        WG = GP * w[P, None]
+        K[:m, :m] = WG.T @ GP
+        K.flat[: m * (m + 1): m + 2] += 0.5  # I/2 on the nu block's diagonal
+        K[m, :m] = K[:m, m] = WG.sum(axis=0)
+        K[m, m] = w[P].sum()
+        grad = np.append(xP @ GP - 0.5 * nu, xP.sum() - 1.0)
+        L, info = dpotrf(K, lower=1)
+        if info:
+            return None, steps, "singular dual Hessian"
+        step = dpotrs(L, grad, lower=1)[0]
+        slope = grad @ step
+        fall = G @ step[:m] + step[m]  # r falls by t * fall along the step
+        t = 1.0
+        while True:
+            r_new = r - t * fall
+            P_new, xP_new, q_new = dual(r_new, nu + t * step[:m], beta + t * step[m])
+            if q_new >= q + DUAL_ARMIJO * t * slope - n * EPS * abs(q):
+                break
+            t *= 0.5
+            if t < DUAL_MIN_STEP:
+                return None, steps, "line search stalled"
+        nu, beta, r = nu + t * step[:m], beta + t * step[m], r_new
+        if t == 1.0 and np.array_equal(P_new, P):
+            z = np.zeros(n)
+            z[P] = xP_new / xP_new.sum()
+            return (P, z), steps, "dual"
+        P, xP, q = P_new, xP_new, q_new
+    return None, DUAL_STEPS, "Newton step cap"
+
+
 def dense_simplex_minimizer(spec: ProblemSpec) -> np.ndarray:
     """Exact minimizer of f over the full simplex (no sparsity).
 
     The active-set kernel on every index: its top-k entries seed the block
     solvers with a support informed by the dense optimum rather than by mu
     alone. A simplex point keeps its largest entry in its top-k, so the seed
-    is never empty.
+    is never empty. For a factor form with d > 0, Newton steps on the
+    (m + 1)-variable dual (_dual_start) guess the free set and a point on it,
+    and the kernel starts there; it then needs a couple of steps where a cold
+    start from one vertex takes about two per free asset. The kernel still
+    proves the result optimal, so a wrong guess costs time only. A dense
+    covariance, a d with a zero entry, few negative multipliers at the
+    kernel's cold start (large tau), a guess that does not settle, or a
+    starting face singular to round-off starts the kernel cold. One debug
+    event per seed names the start (dual, or cold with the reason), the
+    Newton steps and the kernel steps.
     """
-    return _active_set(spec, np.arange(spec.n))
+    start, newton_steps, reason = _dual_start(spec)
+    x, steps, warm = _active_set(spec, np.arange(spec.n), start)
+    if start is not None and not warm:
+        reason = "singular starting face"
+    log.debug("dense seed: start=%s newton_steps=%d kernel_steps=%d",
+              "dual" if warm else f"cold ({reason})", newton_steps, steps)
+    return x
 
 
 def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solution:

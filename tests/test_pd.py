@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -678,6 +680,82 @@ class TestActiveSetKernel:
         assert kkt_check(spec, x, support).max_residual <= 1e-8
 
 
+@st.composite
+def warm_starts(draw):
+    """A degenerate instance, a support idx of it, and a warm start (F0, z0) for the kernel on idx.
+
+    F0 holds distinct positions in idx; z0 is a random point of the simplex
+    whose support is a random nonempty subset of F0.
+    """
+    spec, support = draw(degenerate_supports())
+    idx = np.array(support)
+    free = np.array(draw(st.permutations(range(idx.size)))[:draw(st.integers(1, idx.size))])
+    on = free[:draw(st.integers(1, free.size))]
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=on.size, max_size=on.size))
+    z0 = np.zeros(idx.size)
+    z0[on] = np.array(weights) / sum(weights)
+    return spec, idx, (free, z0)
+
+
+class TestWarmStart:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(warm_starts())
+    def test_same_minimum_as_cold_start(self, case):
+        spec, idx, start = case
+        x_cold = pd._active_set(spec, idx)[0]
+        x, _, warm = pd._active_set(spec, idx, start)
+        f_cold, f = objective_f(spec, x_cold), objective_f(spec, x)
+        assert abs(f - f_cold) <= 1e-9 * (1.0 + abs(f_cold))
+        assert_feasible(spec, x, tuple(idx), k=idx.size)
+        assert kkt_check(spec, x, idx).max_residual <= 1e-8
+        if not warm:
+            np.testing.assert_array_equal(x, x_cold)
+
+    def test_singular_starting_face_starts_cold(self):
+        # assets 0 and 4 are the same asset: a face holding both has a flat direction
+        spec = random_psd_instance(n=6, k=6, seed=3)
+        A = spec.A.copy()
+        A[4], A[:, 4] = A[0], A[:, 0]
+        mu = spec.mu.copy()
+        mu[4] = mu[0]
+        spec = ProblemSpec(A, mu, tau=spec.tau, k=6)
+        idx = np.arange(6)
+        z0 = np.array([0.25, 0.25, 0.0, 0.0, 0.5, 0.0])
+        x, _, warm = pd._active_set(spec, idx, (np.array([0, 1, 4]), z0))
+        assert not warm
+        np.testing.assert_array_equal(x, pd._active_set(spec, idx)[0])
+
+    @pytest.mark.parametrize("seed", [281, 376, 399])
+    def test_face_singular_to_round_off_starts_cold(self, seed):
+        # A has rank r < n, and dpotrf factors the whole face with a pivot at
+        # round-off; started there, the kernel would later refactor a face that
+        # is not positive definite and raise NumericalBreakdown
+        rng = np.random.default_rng(seed)
+        n = rng.integers(3, 12)
+        r = rng.integers(1, n)
+        G = rng.standard_normal((n, r))
+        A = G @ G.T / r
+        mu, tau = rng.uniform(0, 0.2, n), 10 ** rng.uniform(-3, 3)
+        spec = ProblemSpec(0.5 * (A + A.T), mu, tau=tau, k=n)
+        idx, free = np.arange(n), rng.permutation(n)
+        x, _, warm = pd._active_set(spec, idx, (free, np.full(n, 1.0 / n)))
+        assert not warm
+        np.testing.assert_array_equal(x, pd._active_set(spec, idx)[0])
+
+    def test_exact_free_set_takes_two_steps(self):
+        # from the optimum's own free set, one step reaches the face minimizer
+        # and the next one prices it optimal
+        spec = factor_model_instance(226, 10, seed=1)
+        idx = np.arange(spec.n)
+        x_cold, cold_steps, _ = pd._active_set(spec, idx)
+        free = np.flatnonzero(x_cold)
+        z0 = np.zeros(spec.n)
+        z0[free] = 1.0 / free.size
+        x, steps, warm = pd._active_set(spec, idx, (free, z0))
+        assert warm and steps == 2 < cold_steps
+        np.testing.assert_allclose(x, x_cold, rtol=0, atol=1e-14)
+
+
 class TestDenseSimplexMinimizer:
     @pytest.mark.parametrize("make, args", [
         (factor_model_instance, (1000, 10)),
@@ -695,6 +773,118 @@ class TestDenseSimplexMinimizer:
         # A = 0 and tau * mu near 1e5: the seed is the single best-mu vertex, exactly
         spec = ProblemSpec(np.zeros((3, 3)), np.array([0.05, 0.1, 0.02]), tau=1e6, k=2)
         np.testing.assert_array_equal(dense_simplex_minimizer(spec), [0.0, 1.0, 0.0])
+
+
+def _with_covariance(base, tau=None, G=None, d=None):
+    """base's instance with another tau, G or d, in factor form."""
+    return ProblemSpec(G=base.G if G is None else G, d=base.d if d is None else d, mu=base.mu,
+                       tau=base.tau if tau is None else tau, k=base.k)
+
+
+def _ill_conditioned(base):
+    """A factor form whose d is about 1e-6 of G G': the dual does not settle."""
+    rng = np.random.default_rng(1)
+    n, m = base.G.shape
+    return _with_covariance(base, G=rng.standard_normal((n, m)) / np.sqrt(m),
+                            d=1e-6 * rng.uniform(0.001, 1.0, n))
+
+
+def _varying_d(base):
+    return _with_covariance(base, d=base.d * np.random.default_rng(1).uniform(0.5, 2.0, base.n))
+
+
+def _tiny_d(base):
+    """d = 1e-20: round-off hides 1/(2d) beside tau*mu in the water-filling start."""
+    return _with_covariance(base, d=np.full(base.n, 1e-20))
+
+
+def _zero_in_d(base):
+    d = base.d.copy()
+    d[3] = 0.0
+    return _with_covariance(base, d=d)
+
+
+@st.composite
+def degenerate_factor_specs(draw):
+    """A factor form large enough for the dual start (n > DUAL_MIN_RELEASABLE), k = n.
+
+    Return-scale to large G; constant, varying or vanishing-to-round-off d;
+    a duplicated asset or tied mu; tau from 1e-6 to 1e6.
+    """
+    n = draw(st.integers(pd.DUAL_MIN_RELEASABLE + 2, 300))
+    m = draw(st.integers(1, n // 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.sampled_from([-2.0, 0.0, 2.0]))
+    G = scale * rng.standard_normal((n, m)) / np.sqrt(m)
+    kind = draw(st.sampled_from(["constant-d", "varying-d", "duplicate", "tied-mu"]))
+    d = np.full(n, 10.0 ** draw(st.floats(-20.0, 3.0)) * scale ** 2)
+    mu = rng.uniform(0.0, 0.2, n)
+    if kind == "varying-d":
+        d *= rng.uniform(0.001, 1.0, n)
+    if kind == "duplicate":
+        G[-1], mu[-1] = G[0], mu[0]
+    if kind == "tied-mu":
+        mu[:] = mu[0]
+    return ProblemSpec(G=G, d=d, mu=mu, tau=10.0 ** draw(st.floats(-6.0, 6.0)), k=n)
+
+
+class TestDualSeed:
+    """The factor-form seed, warm-started from the dual, against the cold seed of the dense form."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(degenerate_factor_specs())
+    def test_same_minimum_as_cold_kernel(self, spec):
+        x = dense_simplex_minimizer(spec)
+        x_cold = pd._active_set(spec, np.arange(spec.n))[0]
+        f, f_cold = objective_f(spec, x), objective_f(spec, x_cold)
+        assert abs(f - f_cold) <= 1e-9 * (1.0 + abs(f_cold))
+        assert_feasible(spec, x, range(spec.n))
+        # the cold kernel's own residual sets the scale on a G of 100
+        kkt = kkt_check(spec, x, range(spec.n)).max_residual
+        assert kkt <= max(1e-8, 10.0 * kkt_check(spec, x_cold, range(spec.n)).max_residual)
+
+    @staticmethod
+    def _seed_start(spec, caplog):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="ccmv"):
+            x = dense_simplex_minimizer(spec)
+        events = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("dense seed:")]
+        assert len(events) == 1
+        return x, events[0]
+
+    @pytest.mark.parametrize("n", [226, 1000])
+    @pytest.mark.parametrize("make, start", [
+        (lambda base: _with_covariance(base, tau=1e-6), "start=dual"),  # every asset free
+        (lambda base: base, "start=dual"),
+        (lambda base: _with_covariance(base, tau=1e3), "start=cold"),  # 1-6 assets free
+        (_varying_d, "start=dual"),
+        (_zero_in_d, "start=cold (zero in d)"),
+        (_ill_conditioned, "start=cold (line search stalled)"),  # the guess is abandoned
+        (_tiny_d, "start=cold"),
+    ], ids=["tau1e-6", "tau0.5", "tau1e3", "varying-d", "zero-in-d", "ill-conditioned", "tiny-d"])
+    def test_matches_cold_dense_seed(self, n, make, start, caplog):
+        spec = make(factor_model_instance(n, 10, seed=0))
+        assert spec.cov.factored
+        x, event = self._seed_start(spec, caplog)
+        assert start in event
+        x_dense, event_dense = self._seed_start(dense(spec), caplog)
+        assert "start=cold (dense covariance)" in event_dense
+        np.testing.assert_allclose(x, x_dense, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(np.flatnonzero(y_step(x, spec.k)),
+                                      np.flatnonzero(y_step(x_dense, spec.k)))
+
+    def test_debug_event_names_start_and_steps(self, caplog):
+        spec = factor_model_instance(1000, 10, seed=0)
+        _, event = self._seed_start(spec, caplog)
+        assert event.startswith("dense seed: start=dual newton_steps=")
+        newton, kernel = (int(part.split("=")[1]) for part in event.split()[-2:])
+        assert 1 <= newton <= pd.DUAL_STEPS and kernel == 2
+        _, event = self._seed_start(dense(spec), caplog)
+        assert event.startswith("dense seed: start=cold (dense covariance) newton_steps=0 ")
+        # a cold start takes a step per release and per drop, more than 100 to
+        # reach this seed's 54-asset free set
+        assert int(event.split("=")[-1]) > 100
 
 
 class TestKktCheck:
