@@ -107,7 +107,7 @@ def rolling_horizon(
     for t in range(nu, T):
         window = ReturnsMatrix(R[t - nu:t], returns.tickers)
         est = estimate_moments(window)
-        spec = ProblemSpec(A=est.A, mu=est.mu, tau=cfg.tau, k=cfg.k)
+        spec = ProblemSpec(cov=est.cov, mu=est.mu, tau=cfg.tau, k=cfg.k)
         last_spec = spec
         try:
             x_t = np.asarray(solve_fn(spec, cfg.solver_cfg).weights, dtype=float)

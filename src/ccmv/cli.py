@@ -71,7 +71,7 @@ def _load_spec(args, k: int | None) -> ProblemSpec:
             raise CcmvError("--k is required with --returns")
         est = estimate_moments(returns)
         tau = DEFAULT_TAU if args.tau is None else args.tau
-        return ProblemSpec(A=est.A, mu=est.mu, tau=tau, k=k)
+        return ProblemSpec(cov=est.cov, mu=est.mu, tau=tau, k=k)
     raise CcmvError("one of --spec or --returns is required")
 
 

@@ -161,6 +161,25 @@ class DenseCovariance:
     def lambda_max(self) -> float:
         return max_eigenvalue(self.A)
 
+    def shifted_solver(self, rho: float):
+        """The map B -> B (A + rho*I)^{-1} on rows, by Cholesky.
+
+        One LAPACK potrf of A + rho*I (n^3 / 3 flops) per rho, then one potrs
+        per call, O(n^2) per row. ProblemSpec checked A once, so neither call
+        repeats scipy's per-call checks, which cost several times the backsolve
+        itself at small n.
+        """
+        M = self.A.copy()
+        M.flat[:: self.n + 1] += rho
+        L, info = dpotrf(M, lower=1, overwrite_a=1, clean=0)
+        if info:  # pragma: no cover - A is PSD and rho > 0
+            raise NumericalBreakdown(f"Cholesky of A + {rho}*I failed")
+
+        def solve(B: np.ndarray) -> np.ndarray:
+            return dpotrs(L, B.T, lower=1)[0].T
+
+        return solve
+
 
 class FactorCovariance:
     """A = G G' + diag(d) (G n x m, d >= 0), read through its factors without forming A.
@@ -270,7 +289,8 @@ class ProblemSpec:
     <= n, else a DenseCovariance (of G G' + diag(d) for a factor form).
     spec.A is the dense matrix, formed from the factors on first read; G and
     d are None for a dense input. cov=... builds a spec on an existing
-    operator, as dataclasses.replace does.
+    operator, as dataclasses.replace does and as estimate_moments' callers
+    do with its est.cov.
     """
 
     cov: DenseCovariance | FactorCovariance
@@ -362,10 +382,15 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class MomentEstimate:
-    """Sample mean and covariance of a returns matrix."""
+    """Sample mean and covariance of a returns matrix; cov is the spec's operator."""
 
     mu: np.ndarray
-    A: np.ndarray
+    cov: DenseCovariance | FactorCovariance
+
+    @property
+    def A(self) -> np.ndarray:
+        """The dense covariance, formed once for a factor form."""
+        return self.cov.A
 
 
 @dataclass
@@ -378,9 +403,6 @@ class OuterRecord:
     infeas: float
     note: str = ""
     jumps: int = 0  # accepted jumps to the level's saddle point on a stable support
-    # CG steps of the run that served the level's solves with A + rho*I (made at
-    # the first level, replayed at later ones); 0 on a Cholesky or Woodbury level
-    solve_steps: int = 0
 
 
 @dataclass
@@ -426,13 +448,26 @@ class Solution:
 
 
 def estimate_moments(returns: ReturnsMatrix) -> MomentEstimate:
-    """Sample mean and (T-1)-denominator covariance, symmetrized."""
+    """Sample mean and (T-1)-denominator covariance C'C / (T-1), C the centred returns.
+
+    A window of T periods gives a covariance of rank below T. When
+    T * FACTOR_RANK_RATIO <= n it is returned in factor form, G = C'/sqrt(T-1)
+    and d = 0, and no n x n array is formed; otherwise as the dense C'C / (T-1),
+    symmetrized. ProblemSpec(cov=est.cov, ...) builds the instance either way.
+    """
     R = returns.values
+    T, n = R.shape
     mu = R.mean(axis=0)
     C = R - mu
-    A = C.T @ C / (R.shape[0] - 1)
-    A = 0.5 * (A + A.T)
-    return MomentEstimate(mu=mu, A=A)
+    if T * FACTOR_RANK_RATIO <= n:
+        cov = FactorCovariance(_read_only(C.T / np.sqrt(T - 1)), _read_only(np.zeros(n)))
+    else:
+        A = C.T @ C / (T - 1)
+        cov = DenseCovariance(_read_only(0.5 * (A + A.T)))
+    # a PSD matrix has its largest entries on its diagonal
+    if not np.isfinite(cov.diag(np.arange(n))).all():
+        raise BadData("returns too large: the sample covariance overflows")
+    return MomentEstimate(mu=mu, cov=cov)
 
 
 def validate_problem(spec: ProblemSpec) -> float:

@@ -13,17 +13,13 @@ penalty subproblem on S) in closed form from the level's solves with
 A + rho*I, rather than approaching it one step at a time. Outer loop:
 geometric penalty growth with a level-set safeguard. rho starts at
 lambda_max + 1 or above, so A + rho*I has condition number at most
-1 + lambda_max / rho. Every level needs (A + rho*I)^{-1} on the same rows,
-e, tau*mu and the columns of the support, and a shift of A leaves its Krylov
-spaces as they are. So when its a-priori cost is below two Choleskys (at
-n = 1000, k = 10), the first level runs one block of conjugate-gradient
-solves on those rows, and each later level replays its recurrences at its
-own rho (multi-shift CG), with no product with A; one true residual checks
-each level. Other levels factor A + rho*I by Cholesky. A covariance in
-factor form, A = G G' + diag(d) with G n x m and m small beside n
-(model.FACTOR_RANK_RATIO), is never formed: every level solves by Woodbury
-from one m x m Cholesky, and every read of A (rows on a support, the
-diagonal, products) costs O(n*m) per row through the spec's operator.
+1 + lambda_max / rho. Every level needs (A + rho*I)^{-1} only on a few rows,
+e, tau*mu and the columns of the support, and takes them from the spec's
+operator (spec.cov.shifted_solver): a dense A is factored by Cholesky once
+per level; a covariance in factor form, A = G G' + diag(d) with G n x m and
+m small beside n (model.FACTOR_RANK_RATIO), is never formed: every level
+solves by Woodbury from one m x m Cholesky, and every read of A (rows on a
+support, the diagonal, products) costs O(n*m) per row.
 The discovered support and the seed's support (once, when they are the
 same) are then polished by the same finite primal active-set solve of the
 convex QP restricted to a support (exact for any support size), which keeps
@@ -39,7 +35,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_factor, LinAlgError
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import BadSupport, MeritMismatch, MonotonicityViolation, NumericalBreakdown
@@ -74,36 +69,13 @@ EPS = float(np.finfo(float).eps)
 # coordinate, and in practice it ends within a few passes over the support.
 POLISH_STEPS_PER_ASSET = 50
 
-# A level caches at most n // CACHE_DIVISOR columns of (A + rho I)^{-1}. By
-# backsolves they cost at most 2n^3 / CACHE_DIVISOR flops, 1.5 times the level's
-# Cholesky (n^3 / 3), and the cache holds at most n^2 / CACHE_DIVISOR floats.
-# A level whose k-sparse support cannot fit (k > n // CACHE_DIVISOR) keeps no
-# cache and is always a Cholesky level: a full backsolve then costs at most
-# CACHE_DIVISOR times the cached product.
+# A level caches at most n // CACHE_DIVISOR columns of (A + rho I)^{-1}. On a
+# dense A, by backsolves they cost at most 2n^3 / CACHE_DIVISOR flops, 1.5
+# times the level's Cholesky (n^3 / 3), and the cache holds at most
+# n^2 / CACHE_DIVISOR floats. A level whose k-sparse support cannot fit
+# (k > n // CACHE_DIVISOR) keeps no cache: each x-step is then one full solve,
+# at most CACHE_DIVISOR times the cached product.
 CACHE_DIVISOR = 4
-
-# A CG step multiplies the rows being solved by A + rho I, 2n^2 flops per row,
-# and the Cholesky of A + rho I costs n^3 / 3 flops. CG needs at most the
-# Chebyshev step count m = _chebyshev_steps(rho, lam_max) to reach round-off in
-# the energy norm, so m steps on r rows cost less than a Cholesky when
-# CG_FLOP_RATIO * m * r < n. The first level, if it keeps a column cache, runs
-# CG on e, tau*mu and the columns of its starting support S when
-# CG_FLOP_RATIO * m * (|S| + 2) < 2n: the run then costs less than two
-# Choleskys, its own level's and the next one's, which it serves by a replay
-# (as it serves every later level). Columns that enter a CG level later are
-# solved by CG at that level's rho while the rows so solved meet the
-# one-Cholesky bound; the level factors once they would not.
-CG_FLOP_RATIO = 6
-
-# CG stops a row once its recursive residual is at most
-# CG_RESIDUAL_TOL * EPS * ||b||. The solve is accepted when each row's true
-# residual is within CG_RESIDUAL_TOL * sqrt(n) * EPS of the scale
-# ||b|| + ||A + rho I|| * ||x|| of its terms (the round-off of one product with
-# A + rho I), at least 2 sqrt(n) times the stop; otherwise the level falls back
-# to the Cholesky.
-CG_RESIDUAL_TOL = 16.0
-
-FALLBACK_NOTE = "CG solve not at round-off: Cholesky fallback"
 
 # Newton steps on the dense seed's dual (_dual_start) before the kernel starts
 # cold. The guess settles in 6-12 steps on factor_model_instance(1000, 10) and
@@ -124,170 +96,25 @@ DUAL_MIN_STEP = 2.0 ** -8
 DUAL_MIN_RELEASABLE = 128
 
 
-def _cholesky(A: np.ndarray, rho: float) -> tuple:
-    """Lower Cholesky factor of A + rho*I, as cho_factor returns it."""
-    n = A.shape[0]
-    M = A.copy()
-    M.flat[:: n + 1] += rho
-    try:
-        # ProblemSpec rejects non-finite A and rho is finite: skip the scan
-        return cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
-    except LinAlgError as exc:  # pragma: no cover - requires an invalid spec
-        raise NumericalBreakdown(f"Cholesky of A + {rho}*I failed") from exc
-
-
-def _chebyshev_steps(rho: float, lam_max: float) -> int:
-    """A-priori bound on the CG steps that bring a solve with A + rho*I to round-off.
-
-    The spectrum lies in [rho, rho + lam_max], so after m Chebyshev steps, and
-    so after m CG steps, which minimize the same error over the same Krylov
-    space, the error in the energy norm is at most 2 q^m times the initial
-    one, with
-    q = (sqrt(kappa) - 1) / (sqrt(kappa) + 1) = lam_max / (sqrt(rho + lam_max) + sqrt(rho))^2
-    and kappa = 1 + lam_max / rho (Saad, Iterative Methods for Sparse Linear
-    Systems, 2003, sec. 6.11.3 and 12.3). Returns the least m with 2 q^m <= EPS.
-    """
-    q = lam_max / (np.sqrt(rho + lam_max) + np.sqrt(rho)) ** 2
-    if q <= 0.0:
-        return 1  # A = 0: one step, x = b / rho, is exact
-    return int(np.ceil(np.log(2.0 / EPS) / -np.log(q)))
-
-
-@dataclass
-class CGRun:
-    """One conjugate-gradient run on the rows B at rho, kept to be replayed at any rho' >= rho.
-
-    Each row b of B runs its own CG on x (A + rho I) = b from x = 0, and the
-    rows share each step's product with A. A + rho' I has the same Krylov
-    spaces as A + rho I, so CG on it has residuals pi_j r_j, multiples of this
-    run's (multi-shift CG: Jegerlehner, 1996; Frommer & Maass, 1999). replay
-    rebuilds that solve from the stored residuals and scalars alone.
-    """
-
-    rho: float
-    lam_max: float
-    B: np.ndarray        # the rows solved
-    support: np.ndarray  # the i of the rows e_i' that follow e and tau*mu in B
-    R: np.ndarray        # (steps, rows, n): each row's residual r_j before step j
-    rnorm: np.ndarray    # (steps + 1, rows): ||r_j||
-    alpha: np.ndarray    # (steps, rows): step lengths, 0 once a row has stopped
-    beta: np.ndarray     # (steps, rows)
-    stop: np.ndarray     # (rows,): a row stops once its residual norm is at most this
-
-    @property
-    def steps(self) -> int:
-        return self.alpha.shape[0]
-
-    def replay(self, A: np.ndarray, rho: float) -> np.ndarray | None:
-        """Rows X with X (A + rho I) = B, for rho >= self.rho; None if they are not at round-off.
-
-        With sigma = rho - self.rho, CG on A + rho I has residuals pi_j r_j,
-        step lengths alpha'_j = alpha_j pi_{j+1} / pi_j and
-        beta'_j = (pi_{j+1} / pi_j)^2 beta_j, where pi_0 = pi_{-1} = 1 and
-        pi_{j+1} = pi_j pi_{j-1} alpha_{j-1} / (alpha_j beta_{j-1} (pi_{j-1} - pi_j)
-                   + pi_{j-1} alpha_{j-1} (1 + sigma alpha_j))
-        (alpha_{-1} = 1, beta_{-1} = 0). A row stops once pi_j ||r_j|| is at
-        most its stop, as the run's rows did. Its x = sum_j alpha'_j p'_j with
-        p'_j = pi_j r_j + beta'_{j-1} p'_{j-1} is sum_j pi_j d_j r_j, with
-        d_j = alpha'_j + beta'_j d_{j+1}: one contraction over the stored
-        residuals, O(steps * rows * n), with no product with A. One product
-        then checks each row's true residual against CG_RESIDUAL_TOL.
-        """
-        sigma = rho - self.rho
-        rows = self.stop.size
-        pi_old, pi, a_old, b_old = np.ones(rows), np.ones(rows), np.ones(rows), np.zeros(rows)
-        live = np.ones(rows, dtype=bool)
-        coef = np.zeros((self.steps, 3, rows))  # pi_j, alpha'_j, beta'_j
-        for j, (a, b) in enumerate(zip(self.alpha, self.beta)):
-            live &= (a > 0.0) & (pi * self.rnorm[j] > self.stop)
-            if not live.any():
-                break
-            with np.errstate(divide="ignore", invalid="ignore"):  # rows that stopped
-                pi_new = pi * pi_old * a_old / (a * b_old * (pi_old - pi)
-                                                + pi_old * a_old * (1.0 + sigma * a))
-                ratio = np.where(live, pi_new / pi, 0.0)
-            coef[j] = pi, a * ratio, b * ratio ** 2
-            pi_old, pi, a_old, b_old = pi, np.where(live, pi_new, pi), a, b
-        d = np.zeros(rows)
-        for j in range(self.steps - 1, -1, -1):
-            d = coef[j, 1] + coef[j, 2] * d
-            coef[j, 0] *= d
-        X = np.einsum("jr,jrn->rn", coef[:, 0], self.R)
-        R = self.B - (X @ A + rho * X)
-        scale = np.linalg.norm(self.B, axis=1) + (rho + self.lam_max) * np.linalg.norm(X, axis=1)
-        tol = CG_RESIDUAL_TOL * np.sqrt(X.shape[1]) * EPS
-        return X if np.all(np.linalg.norm(R, axis=1) <= tol * scale) else None
-
-
-def _cg(A: np.ndarray, rho: float, lam_max: float, B: np.ndarray, support=()) -> CGRun | None:
-    """CG on X (A + rho I) = B, one run per row; None if a row is not done within twice the bound.
-
-    Each step multiplies the rows that have not stopped by A + rho I in one
-    product. A row stops once its residual norm is at most
-    CG_RESIDUAL_TOL * EPS * ||b||; a row that has not stopped within
-    2 * _chebyshev_steps(rho, lam_max) steps makes the run fail.
-    """
-    rows = B.shape[0]
-    R, P = B.copy(), B.copy()
-    rr = np.einsum("ij,ij->i", R, R)
-    stop = CG_RESIDUAL_TOL * EPS * np.sqrt(rr)
-    live = np.sqrt(rr) > stop
-    hist, alpha, beta, rnorm = [], [], [], [np.sqrt(rr)]
-    for _ in range(2 * _chebyshev_steps(rho, lam_max)):
-        if not live.any():
-            break
-        hist.append(R)
-        Pl = P[live]
-        W = Pl @ A + rho * Pl
-        a, b = np.zeros(rows), np.zeros(rows)
-        a[live] = rr[live] / np.einsum("ij,ij->i", Pl, W)
-        R = R.copy()
-        R[live] -= a[live, None] * W
-        rr_new = np.einsum("ij,ij->i", R, R)
-        b[live] = rr_new[live] / rr[live]
-        P = R + b[:, None] * P
-        rr = rr_new
-        live &= np.sqrt(rr) > stop
-        alpha.append(a)
-        beta.append(b)
-        rnorm.append(np.sqrt(rr))
-    if live.any():
-        return None
-    return CGRun(rho=float(rho), lam_max=float(lam_max), B=B,
-                 support=np.asarray(support, dtype=np.intp),
-                 R=np.array(hist).reshape(len(hist), rows, B.shape[1]),
-                 rnorm=np.array(rnorm), alpha=np.array(alpha).reshape(-1, rows),
-                 beta=np.array(beta).reshape(-1, rows), stop=stop)
-
-
 @dataclass
 class PenaltyFactorization:
     """The solves with (A + rho*I) that the x-steps of one penalty level reuse.
 
-    A factor-form covariance makes a Woodbury level (woodbury), which solves
-    rows in O(n*m) each from one m x m Cholesky and is never a CG level. A
-    dense A makes one of two kinds. A Cholesky level factors A + rho*I once
-    (chol) and solves by LAPACK backsolves. A CG level keeps no factor: the
-    CG run made at the first level (run; steps is its step count) gives its
-    s, t and cached columns, at the first level directly and at a later one
-    by a replay, with no product with A. One true-residual product checks those
-    rows; rows that come later are solved by a fresh CG run at the level's rho
-    and checked the same way. A failed check, or a CG row not done within its
-    step cap, makes the level factor and solve by Cholesky from then on, and
-    drop the run (fallback). build_factorization picks the kind by flop count,
-    and a CG level also factors once the rows it solved later cost as much as
-    the Cholesky (CG_FLOP_RATIO).
+    solve is the spec's spec.cov.shifted_solver(rho): the map B ->
+    B (A + rho I)^{-1} on rows, by LAPACK backsolves from one Cholesky of
+    A + rho*I for a dense A, or by Woodbury from one m x m Cholesky, O(n*m)
+    per row, for a factor form.
 
     Besides s and t it caches columns (A + rho I)^{-1} e_i, one per index that
     has appeared in the support of an x-step's y. They are solved on first use
     (the missing ones of a call in one batched solve) and kept for the level,
-    so a k-sparse y costs O(n*k) once its columns are in. A CG level starts
-    with the columns of the run's support. The cache holds at most
-    n // CACHE_DIVISOR columns; cols is None on a level that keeps no cache.
+    so a k-sparse y costs O(n*k) once its columns are in. The cache holds at
+    most n // CACHE_DIVISOR columns; cols is None on a level that keeps no
+    cache.
     """
 
     rho: float
-    chol: tuple | None  # Cholesky factor of A + rho I; None on a CG level
+    solve: Callable[[np.ndarray], np.ndarray]  # B -> B (A + rho I)^{-1}, row by row
     s: np.ndarray      # (A + rho I)^{-1} e
     t: np.ndarray      # (A + rho I)^{-1} (tau * mu)
     ets: float         # e's
@@ -295,12 +122,6 @@ class PenaltyFactorization:
     cols: np.ndarray | None  # row j: (A + rho I)^{-1} e_i for the i with slot[i] == j
     slot: np.ndarray   # row of column i in cols, -1 if not cached
     jumps: int = 0     # jumps accepted by the level's bcd_inner
-    A: np.ndarray | None = None  # the spec's A, for a CG level's products
-    woodbury: Callable | None = None  # a Woodbury level's solve; see FactorCovariance
-    run: CGRun | None = None  # the run that serves the level, for the next level's replay
-    steps: int = 0     # CG steps of that run; 0 on a Cholesky or Woodbury level
-    cg_rows: int = 0   # rows solved by CG after the level was built
-    fallback: bool = False  # a CG solve failed its check and the level factored
 
     def support_columns(self, S: np.ndarray) -> np.ndarray | None:
         """Rows (A + rho I)^{-1} e_i for the indices i in S.
@@ -319,32 +140,6 @@ class PenaltyFactorization:
             self.slot[missing] = np.arange(m, m + missing.size)
         return self.cols[self.slot[S]]
 
-    def solve(self, B: np.ndarray) -> np.ndarray:
-        """Rows B (A + rho I)^{-1}, that is (A + rho I)^{-1} b for each row b of B.
-
-        A Woodbury level applies its solve. A Cholesky level makes one LAPACK
-        potrs call; ProblemSpec checked A once, so this skips cho_solve's
-        per-call checks, which cost several times the backsolve itself at
-        small n. A CG level runs CG on all rows
-        at once and checks the result. It factors if the run or the check
-        fails, or if the rows it has solved this way would break
-        CG_FLOP_RATIO's bound.
-        """
-        if self.woodbury is not None:
-            return self.woodbury(B)
-        if self.chol is None:
-            self.cg_rows += B.shape[0]
-            lam_max = self.run.lam_max
-            if CG_FLOP_RATIO * _chebyshev_steps(self.rho, lam_max) * self.cg_rows < self.slot.size:
-                run = _cg(self.A, self.rho, lam_max, B)
-                X = None if run is None else run.replay(self.A, self.rho)
-                if X is not None:
-                    return X
-                self.fallback, self.run = True, None
-            self.chol = _cholesky(self.A, self.rho)
-        c, lower = self.chol
-        return dpotrs(c, B.T, lower=lower)[0].T
-
 
 def _unit_rows(n: int, idx: np.ndarray) -> np.ndarray:
     """Rows e_i' of the identity for the indices i in idx."""
@@ -353,52 +148,22 @@ def _unit_rows(n: int, idx: np.ndarray) -> np.ndarray:
     return E
 
 
-def build_factorization(spec: ProblemSpec, rho: float, lam_max: float | None = None,
-                        support=(), run: CGRun | None = None) -> PenaltyFactorization:
-    """The solves of one penalty level: s, t and a column cache (or none).
+def build_factorization(spec: ProblemSpec, rho: float) -> PenaltyFactorization:
+    """The solves of one penalty level: spec.cov.shifted_solver(rho), s, t and a column cache (or none).
 
-    A factor-form covariance (spec.cov.factored) makes a Woodbury level: one
-    O(n*m^2) product and an m x m Cholesky, then s, t and each cached column
-    by Woodbury in O(n*m), with no CG run, no replay and no n x n array;
-    lam_max, support and run are not used and its steps are 0. For a dense
-    A, given the run of an earlier level, the level replays it at rho. Given
-    lam_max(A) instead, a level with a column cache runs CG on e, tau*mu and
-    the columns of support when that costs less than two Choleskys by the
-    a-priori bound, CG_FLOP_RATIO * _chebyshev_steps(rho, lam_max) *
-    (|support| + 2) < 2n, and keeps the run for the later levels. Either way
-    one residual product checks the rows, and the level caches the columns.
-    Any other level, or one whose run or check fails, factors A + rho*I once
-    and solves s and t from the factor.
+    A dense A is factored once, n^3 / 3 flops; a factor form costs one
+    O(n*m^2) product and an m x m Cholesky, with no n x n array. s and t
+    come from one solve of the rows e and tau*mu.
     """
-    n = spec.n
-    cols = np.empty((0, n)) if spec.k <= n // CACHE_DIVISOR else None
-    fact = PenaltyFactorization(rho=float(rho), chol=None, s=None, t=None, ets=0.0, ett=0.0,
-                                cols=cols, slot=np.full(n, -1))
-    if spec.cov.factored:
-        fact.woodbury = spec.cov.shifted_solver(fact.rho)
-        X = fact.solve(np.vstack((np.ones(n), spec.tau * spec.mu)))
-    else:
-        fact.A = spec.A
-        tried = run is not None
-        if run is None and lam_max is not None and cols is not None:
-            S = np.asarray(support, dtype=np.intp)
-            if CG_FLOP_RATIO * _chebyshev_steps(fact.rho, lam_max) * (S.size + 2) < 2 * n:
-                B = np.vstack((np.ones(n), spec.tau * spec.mu, _unit_rows(n, S)))
-                run, tried = _cg(spec.A, fact.rho, lam_max, B, S), True
-        X = None if run is None else run.replay(spec.A, fact.rho)
-        if X is not None:
-            fact.run, fact.steps = run, run.steps
-            fact.cols = X[2:]
-            fact.slot[run.support] = np.arange(run.support.size)
-        else:
-            fact.fallback = tried
-            fact.chol = _cholesky(spec.A, fact.rho)
-            X = fact.solve(np.vstack((np.ones(n), spec.tau * spec.mu)))
-    fact.s, fact.t = X[0], X[1]
-    fact.ets, fact.ett = float(fact.s.sum()), float(fact.t.sum())
-    if fact.ets <= 0:  # pragma: no cover - impossible for SPD matrices
+    n, rho = spec.n, float(rho)
+    solve = spec.cov.shifted_solver(rho)
+    s, t = solve(np.vstack((np.ones(n), spec.tau * spec.mu)))
+    ets = float(s.sum())
+    if ets <= 0:  # pragma: no cover - impossible for SPD matrices
         raise NumericalBreakdown("e'(A+rho I)^{-1}e is not positive")
-    return fact
+    cols = np.empty((0, n)) if spec.k <= n // CACHE_DIVISOR else None
+    return PenaltyFactorization(rho=rho, solve=solve, s=s, t=t, ets=ets, ett=float(t.sum()),
+                                cols=cols, slot=np.full(n, -1))
 
 
 def x_step(fact: PenaltyFactorization, spec: ProblemSpec, y: np.ndarray) -> np.ndarray:
@@ -990,7 +755,7 @@ def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solutio
     seed_support = np.flatnonzero(y)
     incumbent = polish_support(spec, seed_support)
 
-    fact = build_factorization(spec, rho, lam_max, seed_support)
+    fact = build_factorization(spec, rho)
     x0 = x_step(fact, spec, y)
     upsilon = max(objective_f(spec, x_feas), penalty_q(spec, rho, x0, y))
 
@@ -1000,18 +765,13 @@ def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solutio
     for j in range(cfg.max_outer):
         x, y, inner_iters, q_trace, _ = bcd_inner(spec, rho, y, cfg, fact=fact)
         infeas = float(np.abs(x - y).max())
-        notes = [raised_note] if j == 0 and raised_note else []
-        if fact.fallback:
-            notes.append(FALLBACK_NOTE)
-        trace.append(OuterRecord(rho=rho, inner_iters=inner_iters, q=q_trace[-1],
-                                 infeas=infeas, note="; ".join(notes), jumps=fact.jumps,
-                                 solve_steps=fact.steps))
+        trace.append(OuterRecord(rho=rho, inner_iters=inner_iters, q=q_trace[-1], infeas=infeas,
+                                 note=raised_note if j == 0 else "", jumps=fact.jumps))
         if infeas <= cfg.eps_outer:
             status = STATUS_CONVERGED
             break
         rho_next = cfg.zeta * rho
-        # only the first level starts a CG run; a later one replays it or factors
-        fact = build_factorization(spec, rho_next, run=fact.run)
+        fact = build_factorization(spec, rho_next)
         x_probe = x_step(fact, spec, y)
         if penalty_q(spec, rho_next, x_probe, y) > upsilon:
             y = x_feas.copy()

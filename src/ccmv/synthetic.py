@@ -27,7 +27,11 @@ def factor_model_instance(n: int, k: int, tau: float = 0.5, seed: int = 0) -> Pr
 
 def monthly_returns_instance(n: int, k: int, tau: float = 0.5, seed: int = 0,
                              periods: int = 60) -> ProblemSpec:
-    """Instance at realistic monthly-return scale, built through moment estimation."""
+    """Instance at realistic monthly-return scale, built through moment estimation.
+
+    Its covariance is estimate_moments' C'C / (periods - 1): in factor form,
+    of rank below periods, when 4 * periods <= n (FACTOR_RANK_RATIO), else dense.
+    """
     from .model import ReturnsMatrix, estimate_moments
 
     rng = np.random.default_rng(seed)
@@ -39,7 +43,7 @@ def monthly_returns_instance(n: int, k: int, tau: float = 0.5, seed: int = 0,
     R = mean + factors @ loadings.T + noise
     returns = ReturnsMatrix(R, tuple(f"A{i}" for i in range(n)))
     est = estimate_moments(returns)
-    return ProblemSpec(A=est.A, mu=est.mu, tau=tau, k=k)
+    return ProblemSpec(cov=est.cov, mu=est.mu, tau=tau, k=k)
 
 
 def random_psd_instance(n: int, k: int, tau: float = 0.5, seed: int = 0,

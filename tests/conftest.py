@@ -103,9 +103,9 @@ def degenerate_specs(draw, max_n):
 def dense(spec):
     """The same instance with its covariance given as the dense matrix spec.A.
 
-    For tests of the dense solve path (Cholesky, CG and replay levels, the
-    dense spectral checks) on instances that factor_model_instance returns in
-    factor form.
+    For tests of the dense solve path (Cholesky levels, the dense spectral
+    checks) on instances that factor_model_instance and, for wide windows,
+    monthly_returns_instance return in factor form.
     """
     return ProblemSpec(spec.A, spec.mu, tau=spec.tau, k=spec.k)
 

@@ -7,6 +7,7 @@ from ccmv import (
     ReturnsMatrix,
     Solution,
     STATUS_CONVERGED,
+    ccmv_pd_solve,
     gap,
     in_sample_stats,
     rolling_horizon,
@@ -186,6 +187,31 @@ class TestRollingHorizon:
         for w in report.weights_by_window:
             assert abs(w.sum() - 1.0) <= 1e-8
             assert np.count_nonzero(w) <= 2
+
+    def test_wide_windows_in_factor_form(self):
+        # 15 periods of 80 assets per window: each window's covariance comes in
+        # factor form, and the last window's in-sample figures are read through it
+        rng = np.random.default_rng(131)
+        R = 0.01 + 0.04 * rng.standard_normal((18, 80))
+        returns = ReturnsMatrix(R, tuple(f"A{i}" for i in range(80)))
+        specs = []
+
+        def solve(spec, cfg):
+            specs.append(spec)
+            return ccmv_pd_solve(spec, cfg)
+
+        report = rolling_horizon(returns, BacktestConfig(window=15, tau=0.5, k=5), solve_fn=solve)
+        assert len(specs) == len(report.weights_by_window) == 3
+        assert all(spec.cov.factored and spec.G.shape == (80, 15) for spec in specs)
+        for t, (spec, w) in enumerate(zip(specs, report.weights_by_window), start=15):
+            assert abs(w.sum() - 1.0) <= 1e-8 and np.count_nonzero(w) <= 5 and w.min() >= 0.0
+            assert report.oos_returns[t - 15] == float(w @ R[t])
+        C = R[-16:-1] - R[-16:-1].mean(axis=0)
+        x = report.weights_by_window[-1]
+        ret, risk, sharpe = report.in_sample
+        assert ret == pytest.approx(R[-16:-1].mean(axis=0) @ x, rel=1e-12)
+        assert risk == pytest.approx(x @ (C.T @ C / 14) @ x, rel=1e-12)
+        assert sharpe == pytest.approx(ret / np.sqrt(risk), rel=1e-12)
 
     def test_report_dict(self):
         rng = np.random.default_rng(127)

@@ -24,7 +24,7 @@ from ccmv import (
 from ccmv import model
 from ccmv.errors import BadData, BadDimension
 from ccmv.model import FACTOR_RANK_RATIO, DenseCovariance, FactorCovariance
-from ccmv.synthetic import factor_model_instance
+from ccmv.synthetic import factor_model_instance, monthly_returns_instance
 
 from conftest import assert_feasible, dense
 
@@ -93,8 +93,8 @@ class TestOperatorParity:
             X = spec.cov.shifted_solver(rho)(B)
             ref = np.linalg.solve(A + rho * np.eye(n), B.T).T
             close(X, ref, np.abs(ref).max())
+            close(ds.cov.shifted_solver(rho)(B), ref, np.abs(ref).max())
             fact, dfact = build_factorization(spec, rho), build_factorization(ds, rho)
-            assert fact.steps == 0 and fact.chol is None and fact.run is None
             close(fact.s, dfact.s, np.abs(dfact.s).max())
             close(fact.t, dfact.t, np.abs(dfact.t).max())
             y = np.zeros(n)
@@ -201,7 +201,17 @@ class TestSolversOnFactors:
         assert sol.safeguard_resets == ref.safeguard_resets
         assert abs(sol.objective - ref.objective) <= 1e-12 * abs(ref.objective)
         assert max(sol.kkt_residual, ref.kkt_residual) <= 1e-8
-        assert all(r.solve_steps == 0 for r in sol.trace)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_wide_returns_same_path_as_dense_form(self, seed):
+        # 60 periods of 1000 assets: the sample covariance comes in factor form
+        spec = monthly_returns_instance(1000, 10, seed=seed)
+        assert spec.cov.factored and spec.G.shape == (1000, 60)
+        sol, ref = ccmv_pd_solve(spec), ccmv_pd_solve(dense(spec))
+        assert sol.support == ref.support
+        assert [(r.inner_iters, r.jumps) for r in sol.trace] == [(r.inner_iters, r.jumps) for r in ref.trace]
+        assert abs(sol.objective - ref.objective) <= 1e-10 * (1.0 + abs(ref.objective))
+        assert max(sol.kkt_residual, ref.kkt_residual) <= 1e-8
 
     def test_large_instance_in_little_memory(self, monkeypatch):
         # n = 10000, m = 500: a dense A alone would take 800 MB

@@ -102,6 +102,39 @@ class TestEstimateMoments:
             v = rng.standard_normal(5)
             assert v @ est.A @ v >= -1e-10
 
+    def test_wide_window_in_factor_form(self):
+        # 20 periods of 100 assets: rank below 20, small beside n
+        R = np.random.default_rng(5).normal(0.01, 0.05, size=(20, 100))
+        est = estimate_moments(ReturnsMatrix(R, tuple(f"A{i}" for i in range(100))))
+        assert est.cov.factored and est.cov.G.shape == (100, 20) and not est.cov.d.any()
+        C = R - R.mean(axis=0)
+        ref = C.T @ C / 19
+        assert np.abs(est.A - ref).max() <= 1e-15 * np.abs(ref).max()
+        spec = ProblemSpec(cov=est.cov, mu=est.mu, tau=0.5, k=5)
+        assert spec.cov.factored and validate_problem(spec) == pytest.approx(np.linalg.eigvalsh(ref)[-1])
+
+    def test_window_of_the_backtest_shape_stays_dense(self):
+        # 60 periods of 100 assets: above the rank ratio, the same A as ever
+        R = np.random.default_rng(6).normal(0.01, 0.05, size=(60, 100))
+        est = estimate_moments(ReturnsMatrix(R, tuple(f"A{i}" for i in range(100))))
+        C = R - R.mean(axis=0)
+        A = C.T @ C / 59
+        assert not est.cov.factored
+        assert np.array_equal(est.A, 0.5 * (A + A.T))
+        assert np.array_equal(est.mu, R.mean(axis=0))
+
+    @pytest.mark.parametrize("periods", [2, 3])  # factor form, then dense
+    def test_overflowing_covariance_rejected(self, periods):
+        R = np.zeros((periods, 8))
+        R[0, 0], R[1, 0] = 1.7e308, -1.7e308
+        with np.errstate(over="ignore"), pytest.raises(BadData, match="overflows"):
+            estimate_moments(ReturnsMatrix(R, tuple("ABCDEFGH")))
+
+    @pytest.mark.parametrize("periods, factored", [(2, True), (3, False)])
+    def test_form_switches_at_the_rank_ratio(self, periods, factored):
+        R = np.random.default_rng(7).normal(size=(periods, 8))
+        assert estimate_moments(ReturnsMatrix(R, tuple("ABCDEFGH"))).cov.factored == factored
+
 
 class TestValidateProblem:
     def test_identity_ok(self):

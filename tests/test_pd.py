@@ -83,8 +83,8 @@ class TestFactorization:
             spec = random_psd_instance(n=6, k=2, seed=seed)
             rho = float(rng.uniform(0.5, 5.0))
             fact = build_factorization(spec, rho)
-            L = np.tril(fact.chol[0])
-            np.testing.assert_allclose(L @ L.T, spec.A + rho * np.eye(6), atol=1e-8)
+            X = fact.solve(np.eye(6))  # rows of (A + rho I)^{-1}
+            np.testing.assert_allclose(X @ (spec.A + rho * np.eye(6)), np.eye(6), atol=1e-8)
 
 
 class TestXStep:
@@ -354,174 +354,6 @@ class TestJump:
             # fell back (singular restricted problem) is a fixed point to eps_inner
             tol = 1e-9 if fact.jumps else cfg.eps_inner
             assert pd.relative_change(y_next, y) <= tol
-
-
-def _saddle_cond(spec, lam_max, rho, S):
-    """||A + rho*I|| over the least curvature of q_rho on {e'x = 0} with y = x on S.
-
-    _saddle_point solves with A + rho*I, so its round-off, relative to that
-    matrix, is amplified by up to this ratio.
-    """
-    n = spec.n
-    if n == 1:
-        return 1.0
-    off = np.ones(n)
-    off[S] = 0.0
-    Q = np.linalg.qr(np.column_stack((np.ones(n), np.eye(n)[:, : n - 1])))[0][:, 1:]
-    ev = np.linalg.eigvalsh(Q.T @ (spec.A + rho * np.diag(off)) @ Q)
-    return float((lam_max + rho) / ev[0])
-
-
-class TestChebyshevLevel:
-    """Levels served by the first level's CG run and its replays.
-
-    The per-level Chebyshev solves that the run replaced gave the class its name.
-    """
-
-    @staticmethod
-    def assert_same_level(cg, chol, spec, y, S, lam, tol=1e-12):
-        """s, t, every column, the x-step and the saddle point of two levels of one rho agree."""
-        def close(a, b, scale, tol=tol):
-            assert np.abs(a - b).max() <= tol * scale
-
-        close(cg.s, chol.s, np.abs(chol.s).max())
-        close(cg.t, chol.t, np.abs(chol.t).max())
-        everything = np.arange(spec.n)  # the run's columns and the rest
-        W = chol.support_columns(everything)
-        close(cg.support_columns(everything), W, np.abs(W).max())
-        # x = t/2 + ... cancels terms as large as t/2 when tau*mu dominates
-        x = x_step(chol, spec, y)
-        close(x_step(cg, spec, y), x, max(np.abs(x).max(), 0.5 * np.abs(chol.t).max()))
-        xs_cg, xs_chol = pd._saddle_point(cg, spec, S), pd._saddle_point(chol, spec, S)
-        assert (xs_cg is None) == (xs_chol is None)
-        if xs_chol is not None:
-            # two backward-stable solves differ by up to the restricted
-            # problem's condition number times round-off; their q_rho does not
-            scale = max(np.abs(xs_chol).max(), 0.5 * np.abs(chol.t).max())
-            close(xs_cg, xs_chol, scale, tol * _saddle_cond(spec, lam, chol.rho, S))
-            on_S = np.isin(np.arange(spec.n), S)
-            q_chol = penalty_q(spec, chol.rho, xs_chol, np.where(on_S, xs_chol, 0.0))
-            q_cg = penalty_q(spec, chol.rho, xs_cg, np.where(on_S, xs_cg, 0.0))
-            close(q_cg, q_chol, 1.0 + abs(q_chol))
-
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(degenerate_levels())
-    def test_same_solves_as_cholesky_level(self, case):
-        spec, rho = case
-        lam = validate_problem(spec)
-        r = lam + 1.0 if rho == "floor" else rho
-        y = y_step(dense_simplex_minimizer(spec), spec.k)
-        S = np.flatnonzero(y)
-        with pytest.MonkeyPatch.context() as mp:
-            # a CG run at any n and k: no flop rule, room for every column
-            mp.setattr(pd, "CG_FLOP_RATIO", 0)
-            mp.setattr(pd, "CACHE_DIVISOR", 1)
-            run = build_factorization(spec, r, lam, S).run
-            for level in (r, 10.0 * r, 100.0 * r):  # the run's level, then two replays
-                cg = build_factorization(spec, level, run=run)
-                chol = build_factorization(spec, level)
-                assert cg.steps == run.steps > 0 and cg.chol is None
-                assert chol.steps == 0 and chol.chol is not None
-                self.assert_same_level(cg, chol, spec, y, S, lam)
-                assert not cg.fallback
-
-    def test_replay_far_from_the_run(self, monkeypatch):
-        # 40 levels of zeta = 10: each row's shifted residual reaches its stop
-        # within a step or two, before pi_j could underflow
-        spec = dense(factor_model_instance(226, 10, seed=0))
-        lam = validate_problem(spec)
-        S = np.flatnonzero(y_step(dense_simplex_minimizer(spec), spec.k))
-        monkeypatch.setattr(pd, "CG_FLOP_RATIO", 0)
-        run = build_factorization(spec, lam + 1.0, lam, S).run
-        for level in (1e10 * (lam + 1.0), 1e40 * (lam + 1.0)):
-            cg, chol = build_factorization(spec, level, run=run), build_factorization(spec, level)
-            assert cg.steps > 0 and not cg.fallback
-            W = chol.support_columns(S)
-            for a, b in ((cg.s, chol.s), (cg.t, chol.t), (cg.support_columns(S), W)):
-                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
-
-    def test_failed_check_falls_back_to_cholesky(self, monkeypatch):
-        spec = dense(factor_model_instance(226, 10, seed=0))
-        lam = validate_problem(spec)
-        y = y_step(dense_simplex_minimizer(spec), spec.k)
-        S = np.flatnonzero(y)
-        monkeypatch.setattr(pd, "CG_FLOP_RATIO", 0)
-        monkeypatch.setattr(pd, "CACHE_DIVISOR", 1)
-        r = lam + 1.0
-        # an understated lambda_max leaves CG's iterates as they are: the run still serves
-        low = build_factorization(spec, r, lam / 10.0, S)
-        assert low.steps > 0 and not low.fallback
-        self.assert_same_level(low, build_factorization(spec, r), spec, y, S, lam)
-        run = build_factorization(spec, r, lam, S).run
-        # a check that nothing passes: the run at the first level does not stop
-        # within its cap, and a replay fails its residual check
-        monkeypatch.setattr(pd, "CG_RESIDUAL_TOL", 0.0)
-        for fact in (build_factorization(spec, r, lam, S),
-                     build_factorization(spec, 10.0 * r, run=run),
-                     build_factorization(spec, 100.0 * r, run=run)):
-            chol = build_factorization(spec, fact.rho)
-            assert fact.fallback and fact.run is None and fact.steps == 0
-            np.testing.assert_array_equal(fact.chol[0], chol.chol[0])
-            for a, b in ((fact.s, chol.s), (fact.t, chol.t),
-                         (fact.support_columns(S), chol.support_columns(S)),
-                         (x_step(fact, spec, y), x_step(chol, spec, y)),
-                         (pd._saddle_point(fact, spec, S), pd._saddle_point(chol, spec, S))):
-                np.testing.assert_array_equal(a, b)
-
-    def test_factors_once_cg_work_reaches_cholesky(self):
-        spec = dense(factor_model_instance(1000, 10, seed=0))
-        lam = validate_problem(spec)
-        S = np.arange(10)
-        run = build_factorization(spec, lam + 1.0, lam, S).run
-        r = 10.0 * (lam + 1.0)  # the second level of the schedule: a replay
-        fact = build_factorization(spec, r, run=run)
-        chol = build_factorization(spec, r)
-        # rows solved by CG after the replay, within one Cholesky's flops
-        budget = (spec.n - 1) // (pd.CG_FLOP_RATIO * pd._chebyshev_steps(r, lam))
-        assert fact.steps > 0 and fact.chol is None and budget > 1
-        late = np.arange(10, 10 + budget)
-        fact.support_columns(late)  # the last rows within the budget
-        assert fact.chol is None
-        fact.support_columns(np.array([spec.n - 1]))  # one row too many
-        assert fact.chol is not None and not fact.fallback
-        everything = np.append(np.arange(10 + late.size), spec.n - 1)
-        W = chol.support_columns(everything)
-        assert np.abs(fact.support_columns(everything) - W).max() <= 1e-12 * np.abs(W).max()
-
-    def test_fallback_recorded_in_trace(self, monkeypatch):
-        spec = dense(factor_model_instance(226, 10, seed=0))
-        reference = ccmv_pd_solve(spec)  # every level factors at n = 226
-        monkeypatch.setattr(pd, "CG_FLOP_RATIO", 0)
-        build = pd.build_factorization
-
-        def failing_replays(spec, rho, lam_max=None, support=(), run=None):
-            if run is not None:  # the first level is served; its replays fail their check
-                monkeypatch.setattr(pd, "CG_RESIDUAL_TOL", 0.0)
-            return build(spec, rho, lam_max, support, run)
-
-        monkeypatch.setattr(pd, "build_factorization", failing_replays)
-        sol = ccmv_pd_solve(spec)
-        assert len(sol.trace) == 3
-        # the first level is served by the run; the second falls back and
-        # drops the run, so the third factors from the start
-        assert [r.solve_steps > 0 for r in sol.trace] == [True, False, False]
-        assert [pd.FALLBACK_NOTE in r.note for r in sol.trace] == [False, True, False]
-        assert sol.support == reference.support
-        assert [r.inner_iters for r in sol.trace] == [r.inner_iters for r in reference.trace]
-        assert sol.kkt_residual <= 1e-8
-
-    # solve_steps per level: n = 1000 serves every level by the first level's
-    # CG run, and the backtest's and the sandwich's sizes keep only Cholesky levels
-    @pytest.mark.parametrize("make, expected", [
-        (lambda seed: dense(factor_model_instance(1000, 10, seed=seed)), (14, 14, 14)),
-        (lambda seed: monthly_returns_instance(100, 10, seed=seed), None),
-        (lambda seed: factor_model_instance(10, 4, seed=seed), None),
-        (lambda seed: factor_model_instance(10, 5, seed=seed), None),
-    ], ids=["scale", "backtest", "sandwich-k4", "sandwich-k5"])
-    def test_solve_kind_by_flop_count(self, make, expected):
-        for seed in range(3 if expected is None else 1):
-            steps = tuple(r.solve_steps for r in ccmv_pd_solve(make(seed)).trace)
-            assert steps == (expected or (0,) * len(steps))
 
 
 class TestPolishSupport:
