@@ -187,7 +187,11 @@ class FactorCovariance:
     Same methods as DenseCovariance: a product or a quadratic form costs
     O(n*m), rows on an index set O(n*m) each, and shifted_solver gives solves
     with A + rho*I by Woodbury. A, for callers outside the solvers, is formed
-    on first read and kept.
+    on first read and kept. When d is constant, the m x m Gram matrix G'G is
+    formed on the first call of lambda_max or shifted_solver, never at
+    construction, and kept: it gives lambda_max and every penalty level's
+    capacitance, so an operator pays its O(n*m^2) product once, also across
+    the specs that dataclasses.replace(spec, k=...) builds on it.
     """
 
     factored = True
@@ -197,6 +201,7 @@ class FactorCovariance:
         self.n = G.shape[0]
         self._diag = np.einsum("ij,ij->i", G, G) + d
         self._A = None
+        self._gram = None
 
     @property
     def A(self) -> np.ndarray:
@@ -240,16 +245,23 @@ class FactorCovariance:
         v = z @ self.G[S]
         return v @ v + z @ (self.d[S] * z)
 
+    def _gram_matrix(self) -> np.ndarray | None:
+        """G'G (m x m) when d is constant, None otherwise; one O(n*m^2) product on first call, then kept."""
+        if self._gram is None and (self.d == self.d[0]).all():
+            self._gram = self.G.T @ self.G
+        return self._gram
+
     def lambda_max(self) -> float:
         """lambda_max(A): from the m x m Gram matrix G'G when d is constant, else by Lanczos.
 
         With d = c*e, A = G G' + c*I and lambda_max(G G') = lambda_max(G'G), so
-        one O(n*m^2) product and an m x m eigvalsh give it. Otherwise
-        max_eigenvalue runs on the O(n*m) product.
+        an m x m eigvalsh of the operator's one G'G gives it. Otherwise
+        max_eigenvalue runs on the O(n*m) product. A G whose G'G overflows
+        gives a non-finite value, which validate_problem rejects.
         """
-        d = self.d
-        if (d == d[0]).all():
-            return float(np.linalg.eigvalsh(self.G.T @ self.G)[-1] + d[0])
+        gram = self._gram_matrix()
+        if gram is not None:
+            return float(np.linalg.eigvalsh(gram)[-1] + self.d[0])
         return max_eigenvalue(self)
 
     def shifted_solver(self, rho: float):
@@ -257,16 +269,21 @@ class FactorCovariance:
 
         With D = diag(d + rho) and the capacitance C = I + G'D^{-1}G (m x m,
         its eigenvalues in [1, 1 + lambda_max / rho]),
-        X = (B - (B D^{-1} G) C^{-1} G') D^{-1}. One O(n*m^2) product and an
-        m x m Cholesky per rho; O(n*m) per row solved.
+        X = (B - (B D^{-1} G) C^{-1} G') D^{-1}. For a constant d, C is
+        I + G'G / (d_0 + rho) from the operator's one G'G, O(m^2) per rho; a
+        varying d forms G'D^{-1}G, O(n*m^2) per rho. Then one m x m Cholesky
+        per rho, and O(n*m) per row solved.
         """
         shift = self.d + rho
         if not shift.min() > 0.0:
             raise NumericalBreakdown(f"A + {rho}*I has a zero diagonal in factor form")
         inv = 1.0 / shift
-        G = self.G
-        Gs = G * np.sqrt(inv)[:, None]
-        C = Gs.T @ Gs
+        G, gram = self.G, self._gram_matrix()
+        if gram is not None:
+            C = gram / shift[0]
+        else:
+            Gs = G * np.sqrt(inv)[:, None]
+            C = Gs.T @ Gs
         C.flat[:: C.shape[0] + 1] += 1.0
         L, info = dpotrf(C, lower=1)
         if info:  # pragma: no cover - C >= I
@@ -330,6 +347,11 @@ class ProblemSpec:
                 raise BadData(f"d must be >= 0, got {d[i]:.6g} at asset {i}")
             cov = (FactorCovariance(G, d) if G.shape[1] * FACTOR_RANK_RATIO <= n
                    else DenseCovariance(dense_covariance(G, d), G, d))
+            # a PSD matrix has its largest entries on its diagonal, G_i.G_i + d_i
+            diag = cov.diag(np.arange(n))
+            if not np.isfinite(diag).all():
+                i = int(np.flatnonzero(~np.isfinite(diag))[0])
+                raise BadData(f"G G' + diag(d) overflows: its diagonal is {diag[i]} at asset {i}")
         else:
             if cov.n != n:
                 raise BadDimension(f"mu has length {n}, the covariance is {cov.n}x{cov.n}")
@@ -488,7 +510,10 @@ def validate_problem(spec: ProblemSpec) -> float:
     """
     n = spec.n
     if spec.cov.factored:
-        lam_max = max(spec.cov.lambda_max(), 0.0)
+        lam_max = spec.cov.lambda_max()
+        if not np.isfinite(lam_max):
+            raise BadData(f"lambda_max of G G' + diag(d) is {lam_max}: G G' overflows")
+        lam_max = max(lam_max, 0.0)
     else:
         A = spec.A
         scale = max(1.0, float(A.max()), -float(A.min()))

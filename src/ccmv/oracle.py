@@ -81,7 +81,10 @@ def brute_force_solve(spec: ProblemSpec) -> OracleResult:
 
     The search is depth first from an explicit stack, include child first,
     so the first dive gives the incumbent; ties keep the first optimum found.
-    Every restricted solve goes through restricted_qp_solve.
+    Every restricted solve goes through restricted_qp_solve and starts warm
+    from the node's point: an exclude child's relaxation from its rescaled
+    x, and each support I + {j} from the node's x on it (cold where that
+    has fewer than two positive entries, as at the root).
     """
     t0 = time.perf_counter()
     validate_problem(spec)
@@ -98,7 +101,7 @@ def brute_force_solve(spec: ProblemSpec) -> OracleResult:
         fixed, free, x, settled = stack.pop()
         if not settled and (x is None or len(fixed) + len(free) <= k
                             or objective_f(spec, x) >= best_f):
-            x, fx = restricted_qp_solve(spec, fixed + free)
+            x, fx = restricted_qp_solve(spec, fixed + free, x0=x)
             solves += 1
             if fx >= best_f:
                 continue
@@ -109,7 +112,7 @@ def brute_force_solve(spec: ProblemSpec) -> OracleResult:
         if len(fixed) == k - 1:
             for j in free:
                 support = tuple(sorted(fixed + (j,)))
-                xs, fs = restricted_qp_solve(spec, support)
+                xs, fs = restricted_qp_solve(spec, support, x0=x)
                 solves += 1
                 if fs < best_f:
                     best_f, best_x, best_support = fs, xs, support

@@ -152,7 +152,7 @@ def ccmv_padm_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solut
             break
         rho *= cfg.zeta
 
-    weights, objective = polish_support(spec, np.flatnonzero(y))
+    weights, objective = polish_support(spec, np.flatnonzero(y), y)
     support = tuple(int(i) for i in np.flatnonzero(weights != 0.0))
     cert = kkt_check(spec, weights, support)
     return Solution(

@@ -18,13 +18,17 @@ e, tau*mu and the columns of the support, and takes them from the spec's
 operator (spec.cov.shifted_solver): a dense A is factored by Cholesky once
 per level; a covariance in factor form, A = G G' + diag(d) with G n x m and
 m small beside n (model.FACTOR_RANK_RATIO), is never formed: every level
-solves by Woodbury from one m x m Cholesky, and every read of A (rows on a
-support, the diagonal, products) costs O(n*m) per row.
+solves by Woodbury from one m x m Cholesky (of a capacitance taken, for a
+constant d, from the one G'G that also gave lambda_max), and every read of A
+(rows on a support, the diagonal, products) costs O(n*m) per row. Each
+level's first x-step is the one the schedule already took from the level's
+starting y (for upsilon, or for the safeguard's probe) and is not repeated.
 The discovered support and the seed's support (once, when they are the
 same) are then polished by the same finite primal active-set solve of the
 convex QP restricted to a support (exact for any support size), which keeps
 a Cholesky factor of its reduced Hessian and extends it by one row as an
-index enters; the better result is returned with a KKT certificate.
+index enters; the final support's polish starts from the last y, the
+seed's cold. The better result is returned with a KKT certificate.
 """
 
 from __future__ import annotations
@@ -151,9 +155,10 @@ def _unit_rows(n: int, idx: np.ndarray) -> np.ndarray:
 def build_factorization(spec: ProblemSpec, rho: float) -> PenaltyFactorization:
     """The solves of one penalty level: spec.cov.shifted_solver(rho), s, t and a column cache (or none).
 
-    A dense A is factored once, n^3 / 3 flops; a factor form costs one
-    O(n*m^2) product and an m x m Cholesky, with no n x n array. s and t
-    come from one solve of the rows e and tau*mu.
+    A dense A is factored once, n^3 / 3 flops; a factor form costs an m x m
+    Cholesky of its capacitance, formed in O(m^2) from the operator's one G'G
+    for a constant d and by an O(n*m^2) product otherwise, with no n x n
+    array. s and t come from one solve of the rows e and tau*mu.
     """
     n, rho = spec.n, float(rho)
     solve = spec.cov.shifted_solver(rho)
@@ -332,8 +337,13 @@ def bcd_inner(
     y0: np.ndarray,
     cfg: SolverConfig,
     fact: PenaltyFactorization | None = None,
+    x0: np.ndarray | None = None,
 ):
     """Alternate x/y steps at fixed rho until the relative-change rule fires.
+
+    x0, if given, must be x_step(fact, spec, y0), which the caller has
+    already computed; it is taken as the first iteration's x-step rather than
+    solved again. ccmv_pd_solve passes each level's first x-step this way.
 
     Once an iteration leaves the support S of y unchanged, the next one takes
     the saddle point of the level restricted to S (_saddle_point): the BCD
@@ -364,7 +374,10 @@ def bcd_inner(
     for _ in range(cfg.max_inner):
         iterations += 1
         if jump is None:
-            x_new = x_step(fact, spec, y)
+            if x0 is None:
+                x_new = x_step(fact, spec, y)
+            else:
+                x_new, x0 = x0, None
             if confirm and relative_change(x_new, x) > MONOTONE_TOL:
                 raise MeritMismatch(f"x-step does not reproduce the jump at rho={rho}")
             y_new = y_step(x_new, spec.k)
@@ -549,7 +562,7 @@ def _active_set(spec: ProblemSpec, idx: np.ndarray, start=None) -> tuple[np.ndar
     return x, steps, warm
 
 
-def polish_support(spec: ProblemSpec, support) -> tuple[np.ndarray, float]:
+def polish_support(spec: ProblemSpec, support, x0: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Exact solve of the problem restricted to a support: zeros stay hard zeros.
 
     Returns (x, f(x)) for the global minimizer x of the convex QP
@@ -560,11 +573,25 @@ def polish_support(spec: ProblemSpec, support) -> tuple[np.ndarray, float]:
     for any support size |S|. x is zero off
     the support, so above SUPPORT_OBJECTIVE_MIN_N assets objective_f
     evaluates f(x) on it, in O(|S|^2), for any |S| <= n / 4.
+
+    x0, a length-n point such as the iterate whose support is polished,
+    starts the kernel warm: its positive entries on the support, rescaled to
+    sum 1, are the start's free set and point. With fewer than two of them it
+    is ignored, since the cold kernel starts at a vertex anyway. The minimum
+    is the same from any start; only round-off and, where it is not unique,
+    the minimizer may differ.
     """
     support = tuple(sorted({int(i) for i in support}))
     if not support:
         raise BadSupport("empty support")
-    x = _active_set(spec, np.array(support))[0]
+    idx = np.array(support)
+    start = None
+    if x0 is not None:
+        z0 = np.maximum(np.asarray(x0, dtype=float)[idx], 0.0)
+        F0 = np.flatnonzero(z0)
+        if F0.size >= 2:
+            start = (F0, z0 / z0.sum())
+    x = _active_set(spec, idx, start)[0]
     return x, objective_f(spec, x)
 
 
@@ -736,6 +763,10 @@ def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solutio
     Returns the better of the polished final support and the polished top-k
     of the exact dense seed (the final polish on a tie). When the two are the
     same support, the seed's polish is the answer and no second polish runs.
+    The final support's polish starts warm from the last y. The seed's starts
+    cold, so it is bit for bit polish_support(spec, top-k of the seed): a warm
+    start can move the last bit of f, and the answer could then trail that
+    independent polish.
     """
     t0 = time.perf_counter()
     cfg = cfg or SolverConfig()
@@ -761,9 +792,9 @@ def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solutio
 
     status = STATUS_MAX_ITERATIONS
     safeguard_resets = 0
-    x = x0
     for j in range(cfg.max_outer):
-        x, y, inner_iters, q_trace, _ = bcd_inner(spec, rho, y, cfg, fact=fact)
+        # x0 is x_step(fact, spec, y), the level's first x-step, or None after a reset
+        x, y, inner_iters, q_trace, _ = bcd_inner(spec, rho, y, cfg, fact=fact, x0=x0)
         infeas = float(np.abs(x - y).max())
         trace.append(OuterRecord(rho=rho, inner_iters=inner_iters, q=q_trace[-1], infeas=infeas,
                                  note=raised_note if j == 0 else "", jumps=fact.jumps))
@@ -772,9 +803,9 @@ def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solutio
             break
         rho_next = cfg.zeta * rho
         fact = build_factorization(spec, rho_next)
-        x_probe = x_step(fact, spec, y)
-        if penalty_q(spec, rho_next, x_probe, y) > upsilon:
-            y = x_feas.copy()
+        x0 = x_step(fact, spec, y)
+        if penalty_q(spec, rho_next, x0, y) > upsilon:
+            y, x0 = x_feas.copy(), None
             safeguard_resets += 1
             trace[-1].note = (trace[-1].note + "; " if trace[-1].note else "") + "safeguard reset"
         rho = rho_next
@@ -783,7 +814,7 @@ def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solutio
     if np.array_equal(final_support, seed_support):
         weights, objective = incumbent  # the same support's polish
     else:
-        weights, objective = polish_support(spec, final_support)
+        weights, objective = polish_support(spec, final_support, y)
         if incumbent[1] < objective:
             weights, objective = incumbent
     support = tuple(int(i) for i in np.flatnonzero(weights != 0.0))

@@ -105,12 +105,50 @@ class TestOperatorParity:
             q = penalty_q(ds, rho, xd, y)
             close(penalty_q(spec, rho, xd, y), q, 1.0 + abs(q) + size)
 
+    @pytest.mark.parametrize("c", [0.0, 0.3], ids=["d=0", "d=c"])
+    def test_one_gram_matrix_per_operator(self, c):
+        # lambda_max and every level's capacitance come from one G'G, formed
+        # on first use, never at construction
+        class Products(np.ndarray):
+            grams = 0  # products of the n x m factor with itself, G'G-sized
+
+            def __matmul__(self, other):
+                if self.shape[::-1] == np.shape(other) and self.shape[0] < self.shape[1]:
+                    Products.grams += 1
+                return np.asarray(np.ndarray.__matmul__(self, other))
+
+        rng = np.random.default_rng(5)
+        n, m = 200, 10
+        G = rng.standard_normal((n, m)).view(Products)
+        cov = FactorCovariance(G, np.full(n, c))
+        spec = ProblemSpec(cov=cov, mu=rng.uniform(0.0, 0.2, n), tau=1.0, k=5)
+        assert Products.grams == 0 and cov._gram is None
+        lam = validate_problem(spec)
+        A = np.asarray(G) @ np.asarray(G).T + c * np.eye(n)
+        assert lam == pytest.approx(np.linalg.eigvalsh(A)[-1], rel=1e-12)
+        B = rng.standard_normal((3, n))
+        for rho in (lam + 1.0, 10.0 * (lam + 1.0), 1e4):
+            ref = np.linalg.solve(A + rho * np.eye(n), B.T).T
+            close(cov.shifted_solver(rho)(B), ref, np.abs(ref).max())
+        assert Products.grams == 1
+        # a varying d forms its scaled product at every level
+        cov = FactorCovariance(G, np.linspace(0.1, 0.5, n))
+        for rho in (1.0, 10.0, 100.0):
+            cov.shifted_solver(rho)
+        assert Products.grams == 4 and cov._gram is None
+
     def test_lambda_max_of_constant_and_varying_d(self):
         rng = np.random.default_rng(3)
         G = rng.standard_normal((300, 15)) / np.sqrt(15)
         for d in (np.full(300, 0.2), rng.uniform(0.0, 0.4, 300)):  # Gram matrix, then Lanczos
             top = np.linalg.eigvalsh(G @ G.T + np.diag(d))[-1]
             assert FactorCovariance(G, d).lambda_max() == pytest.approx(top, rel=1e-12)
+
+
+# finite, but G_0.G_0 overflows: PD once reported asset 1 alone (f = 3) as
+# converged, where assets 1 and 2 at 0.5 give f = 2.5
+OVERFLOWING_G = np.ones((8, 2))
+OVERFLOWING_G[0, 0] = 1.7e308
 
 
 class TestFactorSpec:
@@ -158,10 +196,21 @@ class TestFactorSpec:
         (np.ones((4, 1)), np.ones(3), BadDimension),
         (np.full((4, 1), np.nan), np.ones(4), BadData),
         (np.ones((4, 1)), np.array([1.0, -1e-3, 1.0, 1.0]), BadData),
-    ], ids=["rows", "columns", "vector", "d-length", "non-finite", "negative-d"])
+        (OVERFLOWING_G, np.ones(8), BadData),
+    ], ids=["rows", "columns", "vector", "d-length", "non-finite", "negative-d", "overflow"])
     def test_rejected(self, G, d, error):
         with pytest.raises(error):
-            ProblemSpec(G=G, d=d, mu=np.zeros(4), tau=1.0, k=1)
+            ProblemSpec(G=G, d=d, mu=np.zeros(max(4, d.size)), tau=1.0, k=2)
+
+    def test_overflowing_operator_rejected_by_validation(self):
+        # the same factors handed in as an operator, which ProblemSpec does not inspect
+        G = OVERFLOWING_G
+        spec = ProblemSpec(cov=FactorCovariance(G, np.ones(8)), mu=np.zeros(8), tau=1.0, k=2)
+        with np.errstate(over="ignore"):
+            with pytest.raises(BadData):
+                validate_problem(spec)
+            with pytest.raises(BadData):
+                ccmv_pd_solve(spec)
 
     @pytest.mark.parametrize("kwargs", [
         {"A": np.eye(4), "G": np.ones((4, 1)), "d": np.ones(4)},

@@ -92,16 +92,16 @@ class TestBruteForceSolve:
         supports = []
         solve = oracle.restricted_qp_solve
 
-        def recording_solve(spec, support):
+        def recording_solve(spec, support, x0=None):
             supports.append(tuple(sorted(support)))
-            return solve(spec, support)
+            return solve(spec, support, x0=x0)
 
         kernel_calls = []
         kernel = pd._active_set
 
-        def counting_kernel(spec, idx):
+        def counting_kernel(spec, idx, start=None):
             kernel_calls.append(idx.size)
-            return kernel(spec, idx)
+            return kernel(spec, idx, start)
 
         monkeypatch.setattr(oracle, "restricted_qp_solve", recording_solve)
         monkeypatch.setattr(pd, "_active_set", counting_kernel)

@@ -257,6 +257,17 @@ class TestBcdInner:
                 exact = penalty_q(spec, r, x, y)
                 assert abs(q - exact) <= 1e-12 * (1.0 + abs(exact))
 
+    def test_given_first_x_step_same_result(self):
+        # x0 = x_step(fact, spec, y0) stands in for the first x-step, bit for bit
+        for spec in (factor_model_instance(226, 10, seed=1), monthly_returns_instance(100, 10, seed=2)):
+            rho = validate_problem(spec) + 1.0
+            y0 = y_step(dense_simplex_minimizer(spec), spec.k)
+            fact = build_factorization(spec, rho)
+            given = bcd_inner(spec, rho, y0, SolverConfig(), fact=fact, x0=x_step(fact, spec, y0))
+            plain = bcd_inner(spec, rho, y0, SolverConfig())
+            for a, b in zip(given, plain):
+                np.testing.assert_array_equal(a, b)
+
     def test_wrong_x_step_raises_merit_mismatch(self, monkeypatch):
         spec = factor_model_instance(40, 5, seed=3)
         shift = np.zeros(spec.n)
@@ -446,6 +457,53 @@ class TestPolishSupportProperty:
         assert x.min() >= 0.0
         assert_feasible(spec, x, support, k=len(support))
         assert kkt_check(spec, x, support).max_residual <= 1e-8
+
+
+@st.composite
+def warm_polishes(draw):
+    """A degenerate instance, a support of it, and a point x0 of length n to start its polish from.
+
+    x0 is nonzero on a random subset of the indices, support or not, with
+    entries of either sign, so from zero to all of the support's entries
+    are positive.
+    """
+    spec, support = draw(degenerate_restricted_qps())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x0 = rng.uniform(-0.2, 1.0, spec.n) * (rng.uniform(size=spec.n) < draw(st.floats(0.0, 1.0)))
+    return spec, support, x0
+
+
+class TestWarmPolish:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(warm_polishes())
+    def test_warm_matches_cold(self, case):
+        spec, support, x0 = case
+        _, f_cold = polish_support(spec, support)
+        x, f = polish_support(spec, support, x0)
+        assert abs(f - f_cold) <= 1e-9 * (1.0 + abs(f_cold))
+        assert f == objective_f(spec, x)
+        assert_feasible(spec, x, support, k=len(support))
+        assert kkt_check(spec, x, support).max_residual <= 1e-8
+
+    def test_start_from_positive_entries_on_the_support(self, monkeypatch):
+        spec = factor_model_instance(40, 5, seed=3)
+        starts = []
+        kernel = pd._active_set
+
+        def recording_kernel(spec, idx, start=None):
+            starts.append(start)
+            return kernel(spec, idx, start)
+
+        monkeypatch.setattr(pd, "_active_set", recording_kernel)
+        x0 = np.zeros(spec.n)
+        x0[[2, 5, 9, 30]] = [0.5, -0.1, 1.5, 3.0]  # 30 is off the support
+        polish_support(spec, (9, 2, 5, 7), x0)
+        F0, z0 = starts[-1]
+        np.testing.assert_array_equal(F0, [0, 3])  # positions of 2 and 9 in (2, 5, 7, 9)
+        np.testing.assert_array_equal(z0, [0.25, 0.0, 0.0, 0.75])
+        x0[2] = 0.0  # one positive entry: the cold vertex start
+        polish_support(spec, (9, 2, 5, 7), x0)
+        assert starts[-1] is None
 
 
 def _assert_restricted_optimum(spec, support):
@@ -785,9 +843,9 @@ class TestCcmvPdSolve:
         supports = []
         polish = pd.polish_support
 
-        def recording_polish(spec, support):
+        def recording_polish(spec, support, x0=None):
             supports.append(tuple(support))
-            return polish(spec, support)
+            return polish(spec, support, x0)
 
         monkeypatch.setattr(pd, "polish_support", recording_polish)
         spec = factor_model_instance(226, 10, seed=0)
@@ -800,9 +858,9 @@ class TestCcmvPdSolve:
         supports = []
         polish = pd.polish_support
 
-        def recording_polish(spec, support):
+        def recording_polish(spec, support, x0=None):
             supports.append(tuple(int(i) for i in support))
-            return polish(spec, support)
+            return polish(spec, support, x0)
 
         spec = factor_model_instance(226, 10, seed=0)
         y = y_step(dense_simplex_minimizer(spec), spec.k)
@@ -813,6 +871,29 @@ class TestCcmvPdSolve:
         x, f = polish(spec, supports[0])
         np.testing.assert_array_equal(sol.weights, x)
         assert sol.objective == f
+
+    def test_first_x_step_of_each_level_runs_once(self, monkeypatch):
+        # the x-step that sets upsilon (first level) or probes the safeguard
+        # (later levels) is the level's first; only a reset, which changes y,
+        # makes the level compute its own
+        calls = []
+        step = pd.x_step
+
+        def counting_x_step(fact, spec, y):
+            calls.append(1)
+            return step(fact, spec, y)
+
+        monkeypatch.setattr(pd, "x_step", counting_x_step)
+        specs = ([factor_model_instance(226, 10, seed=seed) for seed in range(3)]
+                 + [monthly_returns_instance(100, 10, seed=seed) for seed in range(20)])
+        resets = 0
+        for spec in specs:
+            calls.clear()
+            sol = ccmv_pd_solve(spec)
+            assert sol.status == STATUS_CONVERGED
+            resets += sol.safeguard_resets
+            assert len(calls) == sum(r.inner_iters - r.jumps for r in sol.trace) + sol.safeguard_resets
+        assert resets >= 1
 
     def test_converged_infeasibility(self):
         spec = random_psd_instance(n=6, k=2, seed=11)
