@@ -44,14 +44,7 @@ DEFAULT_TAU = 0.5
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        rho0=args.rho0,
-        zeta=args.zeta,
-        eps_inner=args.eps_inner,
-        eps_outer=args.eps_outer,
-        max_inner=args.max_inner,
-        max_outer=args.max_outer,
-    )
+    return SolverConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(SolverConfig)})
 
 
 def _oracle_solve(spec: ProblemSpec, _cfg: SolverConfig) -> Solution:
@@ -194,12 +187,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **flags[flag])
         p.add_argument("--k", type=int, default=None, help="cardinality bound")
         p.add_argument("--tau", type=float, default=tau, help="risk/return trade-off")
-        p.add_argument("--rho0", type=float, default=0.1)
-        p.add_argument("--zeta", type=float, default=10.0)
-        p.add_argument("--eps-inner", type=float, default=1e-4, dest="eps_inner")
-        p.add_argument("--eps-outer", type=float, default=1e-4, dest="eps_outer")
-        p.add_argument("--max-inner", type=int, default=1000, dest="max_inner")
-        p.add_argument("--max-outer", type=int, default=50, dest="max_outer")
+        for f in dataclasses.fields(SolverConfig):  # --rho0 ... --max-outer, SolverConfig's defaults
+            p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
         p.add_argument("--out", help="output path (stdout if omitted)")
         return p
 

@@ -46,11 +46,11 @@ class NumericalBreakdown(CcmvError):
 
 
 class MeritMismatch(NumericalBreakdown):
-    """The inner-loop merit disagrees with the exact penalty value: a wrong x-step."""
+    """The x-step after a jump does not reproduce the jump's point: a wrong x-step."""
 
 
 class MonotonicityViolation(CcmvError):
-    """The inner-loop merit value increased: implementation bug."""
+    """q_rho increased between inner iterations: implementation bug."""
 
 
 class BadSupport(CcmvError):

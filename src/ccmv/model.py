@@ -8,7 +8,9 @@ tau, cardinality bound k) and minimize
 over the k-sparse simplex {e'x = 1, x >= 0, ||x||_0 <= k}. The solvers read
 A only through spec.cov: a DenseCovariance over the n x n matrix, or a
 FactorCovariance over G and d when A = G G' + diag(d) has a rank small
-beside n, which costs O(n*m) where the dense form costs O(n^2).
+beside n, which costs O(n*m) where the dense form costs O(n^2). f and the
+penalty function q_rho have one evaluator each, objective_f and penalty_q:
+one product with A, sparse x or dense.
 """
 
 from __future__ import annotations
@@ -35,11 +37,6 @@ from .errors import (
 PSD_TOL = 1e-10
 SYM_TOL = 1e-12
 
-# _max_asymmetry compares this many rows of A at a time with the matching
-# column block, so each pass reads contiguous rows and short row segments
-# rather than A.T with stride n.
-SYM_TILE = 64
-
 # validate_problem answers both spectral questions (lambda_max, and is A PSD?)
 # with one eigvalsh for n <= EIGVALSH_MAX_N, and with max_eigenvalue's Lanczos
 # plus one shifted Cholesky above it. Each Lanczos step has a fixed overhead,
@@ -48,13 +45,6 @@ SYM_TILE = 64
 # cost 1.03x eigvalsh at n = 130, 1.01x at 140 and 0.93x at 150; on factor
 # models it is faster from n = 100 on.
 EIGVALSH_MAX_N = 140
-
-# objective_f evaluates a sparse x on its support above this many assets. The
-# support path has a fixed cost of about 15 us (index arrays and gathers) that
-# a dense x'Ax matches at about 300 assets; at 1000 assets and 10 nonzeros it
-# takes 24 us against 440 us (1 BLAS thread). Gathering |S|^2 entries costs
-# several times a BLAS product's per entry, hence also |S| <= n / 4.
-SUPPORT_OBJECTIVE_MIN_N = 300
 
 # A factor-form covariance G G' + diag(d), G n x m, is read through its
 # factors when m * FACTOR_RANK_RATIO <= n, and formed into a dense A otherwise.
@@ -146,17 +136,9 @@ class DenseCovariance:
         """A x."""
         return self.A @ x
 
-    def product_on(self, S: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """A x for the x that is z on S and 0 off it, as z'A[S] (A is symmetric)."""
-        return z.dot(self.A[S])
-
     def quad(self, x: np.ndarray) -> float:
         """x'Ax."""
         return x @ (self.A @ x)
-
-    def quad_on(self, S: np.ndarray, z: np.ndarray) -> float:
-        """z'A[S, S]z, the quadratic form of an x that is z on S and 0 off it."""
-        return z @ (self.A[np.ix_(S, S)] @ z)
 
     def lambda_max(self) -> float:
         return max_eigenvalue(self.A)
@@ -232,18 +214,9 @@ class FactorCovariance:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.G @ (x @ self.G) + self.d * x
 
-    def product_on(self, S: np.ndarray, z: np.ndarray) -> np.ndarray:
-        v = self.G @ (z @ self.G[S])
-        v[S] += self.d[S] * z
-        return v
-
     def quad(self, x: np.ndarray) -> float:
         v = x @ self.G
         return v @ v + x @ (self.d * x)
-
-    def quad_on(self, S: np.ndarray, z: np.ndarray) -> float:
-        v = z @ self.G[S]
-        return v @ v + z @ (self.d[S] * z)
 
     def _gram_matrix(self) -> np.ndarray | None:
         """G'G (m x m) when d is constant, None otherwise; one O(n*m^2) product on first call, then kept."""
@@ -517,7 +490,9 @@ def validate_problem(spec: ProblemSpec) -> float:
     else:
         A = spec.A
         scale = max(1.0, float(A.max()), -float(A.min()))
-        asymmetry = _max_asymmetry(A)
+        # A - A.T is antisymmetric, so its largest entry is its largest |entry|;
+        # the temporary is no larger than the copy of A the PSD test makes
+        asymmetry = float((A - A.T).max())
         if asymmetry > SYM_TOL * scale:
             raise AsymmetricA(f"max asymmetry {asymmetry:.3e}")
         # eigvalsh and the Cholesky read the lower triangle, and Lanczos all of A;
@@ -543,22 +518,6 @@ def validate_problem(spec: ProblemSpec) -> float:
     if not 1 <= spec.k <= spec.n:
         raise BadK(f"k must lie in [1, {spec.n}], got {spec.k}")
     return float(lam_max)
-
-
-def _max_asymmetry(A: np.ndarray) -> float:
-    """max (A - A.T) over all entries, with no n x n temporary.
-
-    A - A.T is antisymmetric, so its largest entry is its largest |entry| on
-    or above the diagonal. Tile i compares rows [i, i + SYM_TILE) of A, from
-    column i on, with the same block of columns transposed; fl(a - b) is
-    exactly -fl(b - a), so the result equals (A - A.T).max() bit for bit.
-    """
-    n = A.shape[0]
-    worst = 0.0
-    for i in range(0, n, SYM_TILE):
-        D = A[i:i + SYM_TILE, i:] - A[i:, i:i + SYM_TILE].T
-        worst = max(worst, float(D.max()), -float(D.min()))
-    return worst
 
 
 def max_eigenvalue(A: np.ndarray) -> float:
@@ -630,18 +589,8 @@ def _check_dim(spec: ProblemSpec, v: np.ndarray, name: str) -> np.ndarray:
 
 
 def objective_f(spec: ProblemSpec, x: np.ndarray) -> float:
-    """f(x) = x'Ax - tau * mu'x.
-
-    Above SUPPORT_OBJECTIVE_MIN_N assets, an x with at most n / 4 nonzeros,
-    such as a k-sparse portfolio, is evaluated on its support S, in
-    O(|S|^2) after an O(n) scan (O(|S|*m) in factor form); any other x by one
-    product with A, in O(n^2) (O(n*m)).
-    """
+    """f(x) = x'Ax - tau * mu'x, by one product with A: O(n^2), or O(n*m) in factor form."""
     x = _check_dim(spec, x, "x")
-    if spec.n > SUPPORT_OBJECTIVE_MIN_N and 4 * np.count_nonzero(x) <= spec.n:
-        S = np.flatnonzero(x)
-        z = x[S]
-        return float(spec.cov.quad_on(S, z) - spec.tau * (spec.mu[S] @ z))
     return float(spec.cov.quad(x) - spec.tau * (spec.mu @ x))
 
 

@@ -6,7 +6,8 @@ covariance in factor form with d > 0, Newton steps on the seed's dual, which
 has m + 1 variables, guess its free set, and the kernel starts there; any
 other covariance starts it cold. Inner loop: block coordinate descent
 alternating a closed-form solve over the budget hyperplane {e'x = 1} with a
-clamp-and-keep-top-k thresholding step. Once the support S of y stops
+clamp-and-keep-top-k thresholding step; every iteration's q_rho(x, y) is
+one penalty_q, checked non-increasing. Once the support S of y stops
 changing, q_rho restricted to {e'x = 1, y = x on S, y = 0 off S} is a convex
 quadratic, and the descent jumps to its minimizer (the saddle point of the
 penalty subproblem on S) in closed form from the level's solves with
@@ -220,30 +221,6 @@ def relative_change(new: np.ndarray, old: np.ndarray) -> float:
     return float(np.abs(new - old).max() / max(np.abs(new).max(), 1.0))
 
 
-def _merit(fact: PenaltyFactorization, spec: ProblemSpec, x: np.ndarray,
-           y_old: np.ndarray, y: np.ndarray) -> float:
-    """q_rho(x, y) in O(n*nnz(y_old)), for x = x_step(fact, spec, y_old).
-
-    With d = x - y_old, the x-step's KKT relation
-    (A + rho I)x = (tau*mu + 2*rho*y_old + b*e) / 2 gives
-    A d = (tau*mu + b*e) / 2 - rho*d - A y_old, so
-    x'Ax = x'A y_old + tau*mu'd/2 + b*e'd/2 - rho*d'd needs A only on the
-    support S of y_old. The budget multiplier b follows from e'x = 1 and
-    e'(A + rho I)^{-1} = s' in O(|S|). Only the small d is multiplied by rho,
-    so the round-off stays near that of penalty_q at large rho.
-    """
-    S = np.flatnonzero(y_old)
-    yS = y_old[S]
-    b = (2.0 - fact.ett - 2.0 * fact.rho * fact.s[S].dot(yS)) / fact.ets
-    d = x - y_old
-    r = x - y
-    # y_old'A[S] for A y_old: A is symmetric (to SYM_TOL); tau*mu'd/2 - tau*mu'x
-    # is folded into -tau*(mu'x + mu'y_old)/2
-    q = (x.dot(spec.cov.product_on(S, yS)) - 0.5 * spec.tau * (spec.mu.dot(x) + spec.mu[S].dot(yS))
-         + 0.5 * b * d.sum() - fact.rho * (d.dot(d) - r.dot(r)))
-    return float(q)
-
-
 def _saddle_point(fact: PenaltyFactorization, spec: ProblemSpec,
                   S: np.ndarray) -> np.ndarray | None:
     """Minimizer x of q_rho over {e'x = 1, y = x on S, y = 0 off S}; None if singular.
@@ -308,7 +285,7 @@ def _saddle_point(fact: PenaltyFactorization, spec: ProblemSpec,
 
 def _jump(fact: PenaltyFactorization, spec: ProblemSpec, S: np.ndarray,
           tried: set[bytes], q_last: float):
-    """(x*, S, f(x*)) for the saddle point on S, or None to take the plain step.
+    """(x*, S) for the saddle point on S, or None to take the plain step.
 
     Support indices where x* is nonpositive are dropped and the smaller
     support is solved again. The candidate is accepted only when
@@ -323,10 +300,9 @@ def _jump(fact: PenaltyFactorization, spec: ProblemSpec, S: np.ndarray,
             return None
         pos = x[S] > 0.0
         if pos.all():
-            off = x.copy()
-            off[S] = 0.0
-            f = objective_f(spec, x)
-            return (x, S, f) if f + fact.rho * float(off @ off) < q_last else None
+            y = np.zeros(spec.n)
+            y[S] = x[S]
+            return (x, S) if penalty_q(spec, fact.rho, x, y) < q_last else None
         S = S[pos]
     return None
 
@@ -348,18 +324,17 @@ def bcd_inner(
     Once an iteration leaves the support S of y unchanged, the next one takes
     the saddle point of the level restricted to S (_saddle_point): the BCD
     fixed point that the x/y steps would otherwise approach one small step at
-    a time. This jump replaces that iteration's x-step; its y-step, merit and
+    a time. This jump replaces that iteration's x-step; its y-step, q and
     monotonicity check are as usual, and fact.jumps counts the accepted
     jumps. The stopping rule is tested only on an x-step iteration that keeps
     the support and finds no jump, so a converged level ends on an x-step.
 
     Returns (x, y, iterations, q_trace, converged). q_trace holds each
-    iteration's q_rho(x, y), evaluated by _merit without a dense A x (a jump
-    iteration evaluates f once), and is checked non-increasing; an increase
-    beyond round-off is an implementation bug. The last entry is checked once
-    against the exact penalty_q of the returned pair, and the x-step after a
-    jump whose y-step kept S must reproduce the jump; both catch a wrong
-    x-step.
+    iteration's penalty_q(x, y), one product with A (O(n*m) in factor form),
+    and is checked non-increasing; an increase beyond round-off is an
+    implementation bug. The x-step after a jump whose y-step kept S must
+    reproduce the jump (MeritMismatch otherwise); with the monotonicity
+    check, it catches a wrong x-step.
     """
     if fact is None:
         fact = build_factorization(spec, rho)
@@ -369,7 +344,7 @@ def bcd_inner(
     converged = False
     iterations = 0
     tried: set[bytes] = set()
-    jump = None     # (x*, S, f(x*)) taken in place of the next x-step
+    jump = None     # (x*, S) taken in place of the next x-step
     confirm = False  # y is the jump's y*, so the next x-step must return x* = x
     for _ in range(cfg.max_inner):
         iterations += 1
@@ -380,13 +355,10 @@ def bcd_inner(
                 x_new, x0 = x0, None
             if confirm and relative_change(x_new, x) > MONOTONE_TOL:
                 raise MeritMismatch(f"x-step does not reproduce the jump at rho={rho}")
-            y_new = y_step(x_new, spec.k)
-            q = _merit(fact, spec, x_new, y, y_new)
         else:
-            x_new, S_jump, f_jump = jump
-            y_new = y_step(x_new, spec.k)
-            d = x_new - y_new
-            q = f_jump + fact.rho * float(d @ d)
+            x_new, S_jump = jump
+        y_new = y_step(x_new, spec.k)
+        q = penalty_q(spec, fact.rho, x_new, y_new)
         if q_trace and q > q_trace[-1] + MONOTONE_TOL * (1.0 + abs(q)):
             raise MonotonicityViolation(
                 f"q increased from {q_trace[-1]:.12e} to {q:.12e} at rho={rho}"
@@ -407,11 +379,6 @@ def bcd_inner(
                     converged = True
                     break
         x, y = x_new, y_new
-    exact = penalty_q(spec, rho, x, y)
-    if abs(exact - q_trace[-1]) > MONOTONE_TOL * (1.0 + abs(exact)):
-        raise MeritMismatch(
-            f"merit {q_trace[-1]:.12e} != penalty_q {exact:.12e} at rho={rho}"
-        )
     return x, y, iterations, q_trace, converged
 
 
@@ -570,9 +537,7 @@ def polish_support(spec: ProblemSpec, support, x0: np.ndarray | None = None) -> 
     index listed twice counts once), found by the finite active-set kernel
     _active_set. On its free set F, a step costs O(|S|*|F| + |F|^2) from a
     Cholesky factor updated as an index enters, and a drop O(|F|^3) more,
-    for any support size |S|. x is zero off
-    the support, so above SUPPORT_OBJECTIVE_MIN_N assets objective_f
-    evaluates f(x) on it, in O(|S|^2), for any |S| <= n / 4.
+    for any support size |S|. f(x) is one objective_f, a product with A.
 
     x0, a length-n point such as the iterate whose support is polished,
     starts the kernel warm: its positive entries on the support, rescaled to
@@ -800,6 +765,8 @@ def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solutio
                                  note=raised_note if j == 0 else "", jumps=fact.jumps))
         if infeas <= cfg.eps_outer:
             status = STATUS_CONVERGED
+            break
+        if j + 1 == cfg.max_outer:  # no level follows: build, probe and reset nothing
             break
         rho_next = cfg.zeta * rho
         fact = build_factorization(spec, rho_next)

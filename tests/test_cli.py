@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from ccmv import ReturnsMatrix, ccmv_pd_solve, model
-from ccmv.cli import EXIT_INPUT_ERROR, EXIT_OK, main
+from ccmv import ReturnsMatrix, SolverConfig, ccmv_pd_solve, cli, model
+from ccmv.cli import EXIT_INPUT_ERROR, EXIT_ITERATION_CAPPED, EXIT_OK, main
 from ccmv.serialize import write_problem_json, write_returns_csv
 from ccmv.synthetic import factor_model_instance, random_psd_instance
 
@@ -250,6 +251,25 @@ class TestCompare:
 class TestParsing:
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_INPUT_ERROR
+
+    @pytest.mark.parametrize("command", ["solve", "backtest", "compare"])
+    def test_solver_flag_defaults_are_solver_configs(self, command):
+        args = cli.build_parser().parse_args([command])
+        assert cli._solver_config(args) == SolverConfig()
+
+    def test_max_outer_reaches_the_solver(self, tmp_path, capsys, monkeypatch):
+        spec_path, _ = make_spec_file(tmp_path, n=40, k=3, seed=0)
+        configs = []
+
+        def recording_pd(spec, cfg):
+            configs.append(cfg)
+            return ccmv_pd_solve(spec, cfg)
+
+        monkeypatch.setitem(cli.SOLVERS, "pd", recording_pd)
+        rc = main(["solve", "--spec", str(spec_path), "--max-outer", "1"])
+        assert configs == [dataclasses.replace(SolverConfig(), max_outer=1)]
+        assert len(json.loads(capsys.readouterr().out)["trace"]) == 1
+        assert rc == EXIT_ITERATION_CAPPED
 
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0

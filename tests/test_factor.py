@@ -81,8 +81,6 @@ class TestOperatorParity:
             close(row(j), A[S[j], S], size)
         xs = np.abs(x).sum()
         close(spec.cov.matvec(x), A @ x, size * xs)
-        close(spec.cov.product_on(S, z), z @ A[S], size)
-        close(spec.cov.quad_on(S, z), z @ A[np.ix_(S, S)] @ z, size)
         close(spec.cov.quad(x), x @ A @ x, size * xs * xs)
         f = objective_f(ds, x)
         close(objective_f(spec, x), f, 1.0 + abs(f) + size * xs * xs)

@@ -895,6 +895,30 @@ class TestCcmvPdSolve:
             assert len(calls) == sum(r.inner_iters - r.jumps for r in sol.trace) + sol.safeguard_resets
         assert resets >= 1
 
+    @pytest.mark.parametrize("max_outer", [1, 2])
+    def test_capped_run_prepares_no_level_past_the_cap(self, monkeypatch, max_outer):
+        # after the last allowed level no factorization is built, no probe
+        # taken and no reset counted: each reset belongs to a level that ran
+        rhos = []
+        build = pd.build_factorization
+
+        def recording_build(spec, rho):
+            rhos.append(rho)
+            return build(spec, rho)
+
+        monkeypatch.setattr(pd, "build_factorization", recording_build)
+        specs = ([factor_model_instance(226, 10, seed=seed) for seed in range(5)]
+                 + [monthly_returns_instance(100, 10, seed=seed) for seed in range(10)])
+        capped = 0
+        for spec in specs:
+            rhos.clear()
+            sol = ccmv_pd_solve(spec, SolverConfig(max_outer=max_outer))
+            assert rhos == [r.rho for r in sol.trace]
+            assert "safeguard reset" not in sol.trace[-1].note
+            assert sol.safeguard_resets == sum("safeguard reset" in r.note for r in sol.trace)
+            capped += sol.status != STATUS_CONVERGED
+        assert capped >= 1
+
     def test_converged_infeasibility(self):
         spec = random_psd_instance(n=6, k=2, seed=11)
         sol = ccmv_pd_solve(spec)
