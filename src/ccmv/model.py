@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dstemr
+from scipy.linalg.lapack import dpotrf, dpotrs, dstemr, dtrtrs
 
 from .errors import (
     AsymmetricA,
@@ -55,6 +55,14 @@ EIGVALSH_MAX_N = 140
 # at n = 476. Below n = 100 the two are within about 15% (under 3 ms) at any
 # rank. The sandwich's n = 10, m = 5 stays dense.
 FACTOR_RANK_RATIO = 4
+
+# A dense A's penalty level caches at most n // CACHE_DIVISOR columns of
+# (A + rho I)^{-1}. By backsolves they cost at most 2n^3 / CACHE_DIVISOR flops,
+# 1.5 times the level's Cholesky (n^3 / 3), and the cache holds at most
+# n^2 / CACHE_DIVISOR floats. A level whose k-sparse support cannot fit
+# (k > n // CACHE_DIVISOR) keeps no cache: each sparse solve is then one full
+# solve, at most CACHE_DIVISOR times the cached product.
+CACHE_DIVISOR = 4
 
 
 def _read_only(values) -> np.ndarray:
@@ -143,24 +151,93 @@ class DenseCovariance:
     def lambda_max(self) -> float:
         return max_eigenvalue(self.A)
 
-    def shifted_solver(self, rho: float):
-        """The map B -> B (A + rho*I)^{-1} on rows, by Cholesky.
+    def shifted_solver(self, rho: float, k: int | None = None) -> CholeskyLevel:
+        """The solves with A + rho*I of one penalty level, by Cholesky: a CholeskyLevel.
 
-        One LAPACK potrf of A + rho*I (n^3 / 3 flops) per rho, then one potrs
-        per call, O(n^2) per row. ProblemSpec checked A once, so neither call
-        repeats scipy's per-call checks, which cost several times the backsolve
-        itself at small n.
+        k is the largest support that its sparse and coupling are asked about;
+        the level caches columns of (A + rho*I)^{-1} only when k <= n //
+        CACHE_DIVISOR.
         """
-        M = self.A.copy()
-        M.flat[:: self.n + 1] += rho
-        L, info = dpotrf(M, lower=1, overwrite_a=1, clean=0)
+        return CholeskyLevel(self.A, rho, k is not None and k <= self.n // CACHE_DIVISOR)
+
+
+def _unit_rows(n: int, idx: np.ndarray) -> np.ndarray:
+    """Rows e_i' of the identity for the indices i in idx."""
+    E = np.zeros((idx.size, n))
+    E[np.arange(idx.size), idx] = 1.0
+    return E
+
+
+class CholeskyLevel:
+    """Solves with A + rho*I for a dense A, from one Cholesky: solve, sparse and coupling.
+
+    One LAPACK potrf of A + rho*I (n^3 / 3 flops), then potrs backsolves,
+    O(n^2) per row. ProblemSpec checked A once, so no call repeats scipy's
+    per-call checks, which cost several times the backsolve itself at small n.
+
+    With a cache, the columns (A + rho I)^{-1} e_i are solved on the first
+    call that needs them (the missing ones of a call in one batched solve)
+    and kept for the level, so sparse costs O(n*|S|) once its columns are
+    in. The cache holds at most n // CACHE_DIVISOR columns; cols is None on
+    a level that keeps none. Where the columns of S are not cached, coupling
+    solves them and keeps them for that S array alone: the saddle point's
+    sparse solve, which follows on the same array, reuses them rather than
+    solving once more.
+    """
+
+    def __init__(self, A: np.ndarray, rho: float, cache: bool):
+        n = A.shape[0]
+        M = A.copy()
+        M.flat[:: n + 1] += rho
+        self.L, info = dpotrf(M, lower=1, overwrite_a=1, clean=0)
         if info:  # pragma: no cover - A is PSD and rho > 0
             raise NumericalBreakdown(f"Cholesky of A + {rho}*I failed")
+        self.A = A
+        self.cols = np.empty((0, n)) if cache else None  # row j: the column i with slot[i] == j
+        self.slot = np.full(n, -1)  # row of column i in cols, -1 if not cached
+        self._coupled = (None, None)  # (S, its columns) of the last uncached coupling
 
-        def solve(B: np.ndarray) -> np.ndarray:
-            return dpotrs(L, B.T, lower=1)[0].T
+    def solve(self, B: np.ndarray) -> np.ndarray:
+        """B (A + rho I)^{-1}, row by row."""
+        return dpotrs(self.L, B.T, lower=1)[0].T
 
-        return solve
+    __call__ = solve
+
+    def _columns(self, S: np.ndarray) -> np.ndarray | None:
+        """Rows (A + rho I)^{-1} e_i for i in S, or None without a cache or when they do not fit."""
+        if self.cols is None:
+            return None
+        missing = S[self.slot[S] < 0]
+        if missing.size:
+            n, m = self.slot.size, self.cols.shape[0]
+            if m + missing.size > n // CACHE_DIVISOR:
+                return None
+            self.cols = np.vstack([self.cols, self.solve(_unit_rows(n, missing))])
+            self.slot[missing] = np.arange(m, m + missing.size)
+        return self.cols[self.slot[S]]
+
+    def sparse(self, S: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """(A + rho I)^{-1} b for the b that is v on S and zero off it.
+
+        O(n*|S|) from the cached columns, or from those coupling has just
+        solved for this S array; else one full O(n^2) backsolve.
+        """
+        W = self._columns(S)
+        if W is None and self._coupled[0] is S:
+            W = self._coupled[1]
+        if W is not None:
+            return v @ W
+        b = np.zeros(self.slot.size)
+        b[S] = v
+        return self.solve(b[None])[0]
+
+    def coupling(self, S: np.ndarray) -> np.ndarray:
+        """[A (A + rho I)^{-1}]_SS, |S| x |S|: A[S] times the columns of S, O(n*|S|^2)."""
+        W = self._columns(S)
+        if W is None:
+            W = self.solve(_unit_rows(self.slot.size, S))
+            self._coupled = (S, W)
+        return self.A[S] @ W.T
 
 
 class FactorCovariance:
@@ -168,10 +245,10 @@ class FactorCovariance:
 
     Same methods as DenseCovariance: a product or a quadratic form costs
     O(n*m), rows on an index set O(n*m) each, and shifted_solver gives solves
-    with A + rho*I by Woodbury. A, for callers outside the solvers, is formed
-    on first read and kept. When d is constant, the m x m Gram matrix G'G is
-    formed on the first call of lambda_max or shifted_solver, never at
-    construction, and kept: it gives lambda_max and every penalty level's
+    with A + rho*I by Woodbury (a WoodburyLevel). A, for callers outside the
+    solvers, is formed on first read and kept. When d is constant, the m x m
+    Gram matrix G'G is formed on the first call of lambda_max or
+    shifted_solver, never at construction, and kept: it gives lambda_max and every penalty level's
     capacitance, so an operator pays its O(n*m^2) product once, also across
     the specs that dataclasses.replace(spec, k=...) builds on it.
     """
@@ -237,36 +314,74 @@ class FactorCovariance:
             return float(np.linalg.eigvalsh(gram)[-1] + self.d[0])
         return max_eigenvalue(self)
 
-    def shifted_solver(self, rho: float):
-        """The map B -> B (A + rho*I)^{-1} on rows, by Woodbury.
+    def shifted_solver(self, rho: float, k: int | None = None) -> WoodburyLevel:
+        """The solves with A + rho*I of one penalty level, by Woodbury: a WoodburyLevel.
 
-        With D = diag(d + rho) and the capacitance C = I + G'D^{-1}G (m x m,
-        its eigenvalues in [1, 1 + lambda_max / rho]),
-        X = (B - (B D^{-1} G) C^{-1} G') D^{-1}. For a constant d, C is
-        I + G'G / (d_0 + rho) from the operator's one G'G, O(m^2) per rho; a
-        varying d forms G'D^{-1}G, O(n*m^2) per rho. Then one m x m Cholesky
-        per rho, and O(n*m) per row solved.
+        For a constant d its capacitance comes from the operator's one G'G,
+        O(m^2) per rho; a varying d forms it by an O(n*m^2) product. k, the
+        largest support asked about, is not needed: the level keeps no cache.
         """
         shift = self.d + rho
         if not shift.min() > 0.0:
             raise NumericalBreakdown(f"A + {rho}*I has a zero diagonal in factor form")
         inv = 1.0 / shift
-        G, gram = self.G, self._gram_matrix()
+        gram = self._gram_matrix()
         if gram is not None:
             C = gram / shift[0]
         else:
-            Gs = G * np.sqrt(inv)[:, None]
+            Gs = self.G * np.sqrt(inv)[:, None]
             C = Gs.T @ Gs
         C.flat[:: C.shape[0] + 1] += 1.0
         L, info = dpotrf(C, lower=1)
         if info:  # pragma: no cover - C >= I
             raise NumericalBreakdown(f"capacitance of A + {rho}*I is not positive definite")
+        return WoodburyLevel(self.G, self.d, rho, inv, L)
 
-        def solve(B: np.ndarray) -> np.ndarray:
-            Z = dpotrs(L, ((B * inv) @ G).T, lower=1)[0].T
-            return (B - Z @ G.T) * inv
 
-        return solve
+class WoodburyLevel:
+    """Solves with A + rho*I for A = G G' + diag(d), from one m x m Cholesky: solve, sparse and coupling.
+
+    With D = diag(d + rho) and the capacitance C = I + G'D^{-1}G (its
+    eigenvalues in [1, 1 + lambda_max / rho]), Woodbury's identity (Hager,
+    SIAM Review 31, 1989) gives (A + rho I)^{-1} = D^{-1} - D^{-1}G C^{-1}
+    G'D^{-1}. A right-hand side that is zero off S meets G only through G_S,
+    so sparse costs O(|S|*m + m^2 + n*m) and coupling O(|S|*m^2), and no
+    column of the inverse is formed or kept (cols is None).
+    """
+
+    cols = None
+
+    def __init__(self, G: np.ndarray, d: np.ndarray, rho: float, inv: np.ndarray, L: np.ndarray):
+        # inv = 1 / (d + rho); L is the lower Cholesky factor of C
+        self.G, self.d, self.rho, self.inv, self.L = G, d, rho, inv, L
+
+    def solve(self, B: np.ndarray) -> np.ndarray:
+        """B (A + rho I)^{-1}, row by row: (B - (B D^{-1} G) C^{-1} G') D^{-1}, O(n*m) per row."""
+        G, inv = self.G, self.inv
+        Z = dpotrs(self.L, ((B * inv) @ G).T, lower=1)[0].T
+        return (B - Z @ G.T) * inv
+
+    __call__ = solve
+
+    def sparse(self, S: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """(A + rho I)^{-1} b for the b that is v on S and zero off it."""
+        w = v * self.inv[S]  # D^{-1} b on S
+        z = dpotrs(self.L, w @ self.G[S], lower=1)[0]
+        x = -(self.G @ z) * self.inv
+        x[S] += w
+        return x
+
+    def coupling(self, S: np.ndarray) -> np.ndarray:
+        """[A (A + rho I)^{-1}]_SS = I - rho [(A + rho I)^{-1}]_SS, |S| x |S|.
+
+        By Woodbury it is diag(d_S / (d_S + rho)) + rho H C^{-1} H' with
+        H = D_S^{-1} G_S: a sum of PSD terms, so no cancellation at large rho.
+        """
+        inv = self.inv[S]
+        V = dtrtrs(self.L, (self.G[S] * inv[:, None]).T, lower=1)[0]  # L^{-1} H'
+        K = self.rho * (V.T @ V)
+        K.flat[:: S.size + 1] += self.d[S] * inv
+        return K
 
 
 @dataclass(frozen=True, init=False)

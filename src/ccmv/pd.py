@@ -3,8 +3,10 @@
 Seed: the exact minimizer of f over the whole simplex, whose top-k entries
 give the first support, found by the active-set kernel of the polish. For a
 covariance in factor form with d > 0, Newton steps on the seed's dual, which
-has m + 1 variables, guess its free set, and the kernel starts there; any
-other covariance starts it cold. Inner loop: block coordinate descent
+has m + 1 variables, find its free set and a point on it; when that point
+passes the kernel's own optimality tests (one product with A), it is the
+seed and the kernel does not run, else the kernel starts there. Any other
+covariance starts the kernel cold. Inner loop: block coordinate descent
 alternating a closed-form solve over the budget hyperplane {e'x = 1} with a
 clamp-and-keep-top-k thresholding step; every iteration's q_rho(x, y) is
 one penalty_q, checked non-increasing. Once the support S of y stops
@@ -14,16 +16,18 @@ penalty subproblem on S) in closed form from the level's solves with
 A + rho*I, rather than approaching it one step at a time. Outer loop:
 geometric penalty growth with a level-set safeguard. rho starts at
 lambda_max + 1 or above, so A + rho*I has condition number at most
-1 + lambda_max / rho. Every level needs (A + rho*I)^{-1} only on a few rows,
-e, tau*mu and the columns of the support, and takes them from the spec's
+1 + lambda_max / rho. Every level needs (A + rho*I)^{-1} only on e, tau*mu
+and vectors that are zero off the support, and the block
+[A (A + rho*I)^{-1}]_SS of the support, and takes them from the spec's
 operator (spec.cov.shifted_solver): a dense A is factored by Cholesky once
-per level; a covariance in factor form, A = G G' + diag(d) with G n x m and
-m small beside n (model.FACTOR_RANK_RATIO), is never formed: every level
-solves by Woodbury from one m x m Cholesky (of a capacitance taken, for a
-constant d, from the one G'G that also gave lambda_max), and every read of A
-(rows on a support, the diagonal, products) costs O(n*m) per row. Each
-level's first x-step is the one the schedule already took from the level's
-starting y (for upsilon, or for the safeguard's probe) and is not repeated.
+per level and caches the support's columns of the inverse; a covariance in
+factor form, A = G G' + diag(d) with G n x m and m small beside n
+(model.FACTOR_RANK_RATIO), is never formed: every level solves by Woodbury
+from one m x m Cholesky (of a capacitance taken, for a constant d, from the
+one G'G that also gave lambda_max), a k-sparse solve costs O(n*m) and the
+support's block O(k*m^2), and no column is cached. Each level's first
+x-step is the one the schedule already took from the level's starting y
+(for upsilon, or for the safeguard's probe) and is not repeated.
 The discovered support and the seed's support (once, when they are the
 same) are then polished by the same finite primal active-set solve of the
 convex QP restricted to a support (exact for any support size), which keeps
@@ -37,13 +41,13 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import BadSupport, MeritMismatch, MonotonicityViolation, NumericalBreakdown
 from .model import (
+    CholeskyLevel,
     KktCertificate,
     OuterRecord,
     ProblemSpec,
@@ -51,6 +55,7 @@ from .model import (
     SolverConfig,
     STATUS_CONVERGED,
     STATUS_MAX_ITERATIONS,
+    WoodburyLevel,
     make_feasible_point,
     max_eigenvalue,  # unused here; benchmark/run.py traces it as pd.max_eigenvalue
     objective_f,
@@ -74,14 +79,6 @@ EPS = float(np.finfo(float).eps)
 # coordinate, and in practice it ends within a few passes over the support.
 POLISH_STEPS_PER_ASSET = 50
 
-# A level caches at most n // CACHE_DIVISOR columns of (A + rho I)^{-1}. On a
-# dense A, by backsolves they cost at most 2n^3 / CACHE_DIVISOR flops, 1.5
-# times the level's Cholesky (n^3 / 3), and the cache holds at most
-# n^2 / CACHE_DIVISOR floats. A level whose k-sparse support cannot fit
-# (k > n // CACHE_DIVISOR) keeps no cache: each x-step is then one full solve,
-# at most CACHE_DIVISOR times the cached product.
-CACHE_DIVISOR = 4
-
 # Newton steps on the dense seed's dual (_dual_start) before the kernel starts
 # cold. The guess settles in 6-12 steps on factor_model_instance(1000, 10) and
 # in 12-13 at n = 2000; an ill-conditioned dual would not settle in 50.
@@ -103,90 +100,63 @@ DUAL_MIN_RELEASABLE = 128
 
 @dataclass
 class PenaltyFactorization:
-    """The solves with (A + rho*I) that the x-steps of one penalty level reuse.
+    """The solves with (A + rho*I) that the x-steps and jumps of one penalty level reuse.
 
-    solve is the spec's spec.cov.shifted_solver(rho): the map B ->
-    B (A + rho I)^{-1} on rows, by LAPACK backsolves from one Cholesky of
-    A + rho*I for a dense A, or by Woodbury from one m x m Cholesky, O(n*m)
-    per row, for a factor form.
-
-    Besides s and t it caches columns (A + rho I)^{-1} e_i, one per index that
-    has appeared in the support of an x-step's y. They are solved on first use
-    (the missing ones of a call in one batched solve) and kept for the level,
-    so a k-sparse y costs O(n*k) once its columns are in. The cache holds at
-    most n // CACHE_DIVISOR columns; cols is None on a level that keeps no
-    cache.
+    solve is the level's solver, spec.cov.shifted_solver(rho, k), with three
+    operations: solve(B), the row solve B -> B (A + rho I)^{-1};
+    solve.sparse(S, v), (A + rho I)^{-1} applied to a vector that is v on S
+    and zero off it; and solve.coupling(S), the block [A (A + rho I)^{-1}]_SS.
+    A dense A is factored by Cholesky and the columns of a support are
+    cached as they are first needed; a factor form solves by Woodbury from
+    one m x m Cholesky and caches nothing, so a k-sparse solve costs O(n*m)
+    and a coupling block O(k*m^2). s and t are the two full solves every
+    step reuses.
     """
 
     rho: float
-    solve: Callable[[np.ndarray], np.ndarray]  # B -> B (A + rho I)^{-1}, row by row
+    solve: CholeskyLevel | WoodburyLevel  # spec.cov.shifted_solver(rho, k)
     s: np.ndarray      # (A + rho I)^{-1} e
     t: np.ndarray      # (A + rho I)^{-1} (tau * mu)
     ets: float         # e's
     ett: float         # e't
-    cols: np.ndarray | None  # row j: (A + rho I)^{-1} e_i for the i with slot[i] == j
-    slot: np.ndarray   # row of column i in cols, -1 if not cached
     jumps: int = 0     # jumps accepted by the level's bcd_inner
 
-    def support_columns(self, S: np.ndarray) -> np.ndarray | None:
-        """Rows (A + rho I)^{-1} e_i for the indices i in S.
-
-        Solves the uncached columns in one batch. Returns None, and caches
-        nothing, on a level without a cache or when they do not fit.
-        """
-        if self.cols is None:
-            return None
-        missing = S[self.slot[S] < 0]
-        if missing.size:
-            n, m = self.s.size, self.cols.shape[0]
-            if m + missing.size > n // CACHE_DIVISOR:
-                return None
-            self.cols = np.vstack([self.cols, self.solve(_unit_rows(n, missing))])
-            self.slot[missing] = np.arange(m, m + missing.size)
-        return self.cols[self.slot[S]]
-
-
-def _unit_rows(n: int, idx: np.ndarray) -> np.ndarray:
-    """Rows e_i' of the identity for the indices i in idx."""
-    E = np.zeros((idx.size, n))
-    E[np.arange(idx.size), idx] = 1.0
-    return E
+    @property
+    def cols(self) -> np.ndarray | None:
+        """The cached columns (A + rho I)^{-1} e_i, one row each; None on a level that keeps no cache."""
+        return self.solve.cols
 
 
 def build_factorization(spec: ProblemSpec, rho: float) -> PenaltyFactorization:
-    """The solves of one penalty level: spec.cov.shifted_solver(rho), s, t and a column cache (or none).
+    """The solves of one penalty level: spec.cov.shifted_solver(rho, spec.k), s and t.
 
-    A dense A is factored once, n^3 / 3 flops; a factor form costs an m x m
-    Cholesky of its capacitance, formed in O(m^2) from the operator's one G'G
-    for a constant d and by an O(n*m^2) product otherwise, with no n x n
-    array. s and t come from one solve of the rows e and tau*mu.
+    A dense A is factored once, n^3 / 3 flops, and caches the columns of
+    supports of up to spec.k indices when they fit (model.CACHE_DIVISOR); a
+    factor form costs an m x m Cholesky of its capacitance, formed in O(m^2)
+    from the operator's one G'G for a constant d and by an O(n*m^2) product
+    otherwise, with no n x n array. s and t come from one solve of the rows
+    e and tau*mu.
     """
-    n, rho = spec.n, float(rho)
-    solve = spec.cov.shifted_solver(rho)
-    s, t = solve(np.vstack((np.ones(n), spec.tau * spec.mu)))
+    rho = float(rho)
+    solve = spec.cov.shifted_solver(rho, spec.k)
+    s, t = solve(np.vstack((np.ones(spec.n), spec.tau * spec.mu)))
     ets = float(s.sum())
     if ets <= 0:  # pragma: no cover - impossible for SPD matrices
         raise NumericalBreakdown("e'(A+rho I)^{-1}e is not positive")
-    cols = np.empty((0, n)) if spec.k <= n // CACHE_DIVISOR else None
-    return PenaltyFactorization(rho=rho, solve=solve, s=s, t=t, ets=ets, ett=float(t.sum()),
-                                cols=cols, slot=np.full(n, -1))
+    return PenaltyFactorization(rho=rho, solve=solve, s=s, t=t, ets=ets, ett=float(t.sum()))
 
 
 def x_step(fact: PenaltyFactorization, spec: ProblemSpec, y: np.ndarray) -> np.ndarray:
     """Unique minimizer of q_rho(., y) over {e'x = 1}, in closed form.
 
-    u = (A + rho I)^{-1}(tau*mu + 2*rho*y) is t plus the cached columns of y's
-    support weighted by 2*rho*y_S, so the cost scales with nnz(y): O(n*nnz(y))
-    once the columns are cached. Without a cache, or for a y whose support
-    does not fit it (a dense y), it is one full O(n^2) backsolve.
+    u = (A + rho I)^{-1}(tau*mu + 2*rho*y) is t plus one sparse solve of
+    2*rho*y on y's support S: O(|S|*m + n*m) in factor form; for a dense A,
+    O(n*|S|) from the cached columns, or one full O(n^2) backsolve on a level
+    without a cache or for a y whose support does not fit it (a dense y).
     """
     y = np.asarray(y, dtype=float)
     S = np.flatnonzero(y)
-    W = fact.support_columns(S)
-    if W is None:
-        u = fact.t + fact.solve(2.0 * fact.rho * y[None])[0]
-    else:
-        u = fact.t + (2.0 * fact.rho * y[S]) @ W
+    u = fact.t + fact.solve.sparse(S, 2.0 * fact.rho * y[S])
     beta_term = (1.0 - 0.5 * float(u.sum())) / (0.5 * fact.ets)
     x = 0.5 * (u + beta_term * fact.s)
     # pin e'x = 1 against round-off
@@ -229,30 +199,31 @@ def _saddle_point(fact: PenaltyFactorization, spec: ProblemSpec,
     quadratic whose minimizer solves (A + rho I - rho E_S E_S')x =
     (tau*mu - b*e)/2 with e'x = 1. Woodbury on the level's factorization:
     multiplying by (A + rho I)^{-1}, as in the x-step, gives
-    x = t/2 - beta*s + rho*W'x_S (beta = b/2, W the rows (A + rho I)^{-1} e_i
-    for i in S), so x_S and beta solve the (|S|+1)-row system, scaled by rho,
+    x = t/2 - beta*s + rho*(A + rho I)^{-1} E_S x_S (beta = b/2), one sparse
+    solve of the level, so x_S and beta solve the (|S|+1)-row system, scaled
+    by rho,
 
         [P   u  ] [x_S ]   [rho*t_S/2]
         [u' -e's] [beta] = [1 - e't/2]
 
-    with u = rho*s_S and P = rho*A[S] W', which is rho^2 times Woodbury's
-    capacitance K = I/rho - W[:, S] but formed from A, without cancellation
-    at large rho. There, P is about A_SS and u about e_S. The budget direction u
-    and the rest of the support are solved apart, in the orthonormal basis
+    with u = rho*s_S and P = rho*[A (A + rho I)^{-1}]_SS, the level's coupling
+    block times rho. That is rho^2 times Woodbury's capacitance
+    I/rho - [(A + rho I)^{-1}]_SS, but formed without cancellation at large
+    rho: for a dense A as A[S] times the columns of S, for a factor form as a
+    sum of PSD terms. There, P is about A_SS and u about e_S. The budget
+    direction u and the rest of the support are solved apart, in the orthonormal basis
     [q, Z] = Q of the Householder reflector Q that maps u onto its first
     axis: Z'PZ carries A_SS's curvature on the face and the 2 x 2 Schur
     system in (x_S along q, beta) carries the budget, so neither scale swamps
     the other, however large rho or tau*mu is beside A. Z'PZ is solved by
-    its Cholesky factor. No new factorization of the level: O(n*|S|^2) to
-    form P and O(|S|^3) for the reflection and the factor. Z'PZ singular to
+    its Cholesky factor. No new factorization of the level: P costs
+    O(n*|S|^2) for a dense A and O(|S|*m^2) in factor form, the reflection
+    and the factor O(|S|^3), and x one sparse solve. Z'PZ singular to
     round-off, a Cholesky pivot at most |S|*EPS times P's largest diagonal
     entry (duplicate assets, a flat face of A_SS), gives None.
     """
-    W = fact.support_columns(S)
-    if W is None:
-        W = fact.solve(_unit_rows(spec.n, S))
     rho = fact.rho
-    P = rho * (spec.cov.rows(S) @ W.T)
+    P = rho * fact.solve.coupling(S)
     P = 0.5 * (P + P.T)
     u = rho * fact.s[S]
     r1 = 0.5 * rho * fact.t[S]
@@ -278,20 +249,20 @@ def _saddle_point(fact: PenaltyFactorization, spec: ProblemSpec,
     alpha = (-fact.ets * b1 - nu * r2) / det
     beta = (a11 * r2 - nu * b1) / det
     xS = Q @ np.concatenate(([alpha], v0 - v1 * alpha))
-    x = 0.5 * fact.t - beta * fact.s + rho * (xS @ W)
+    x = 0.5 * fact.t - beta * fact.s + rho * fact.solve.sparse(S, xS)
     x += (1.0 - x.sum()) / x.size
     return x
 
 
 def _jump(fact: PenaltyFactorization, spec: ProblemSpec, S: np.ndarray,
           tried: set[bytes], q_last: float):
-    """(x*, S) for the saddle point on S, or None to take the plain step.
+    """(x*, S, q*) for the saddle point on S, or None to take the plain step.
 
     Support indices where x* is nonpositive are dropped and the smaller
     support is solved again. The candidate is accepted only when
-    q_rho(x*, y*) < q_last for y* = x* on S, zero off it: a jump that does
-    not lower q would only add two iterations. Each support is tried at most
-    once per level.
+    q* = q_rho(x*, y*) < q_last for y* = x* on S, zero off it: a jump that
+    does not lower q would only add two iterations. Each support is tried at
+    most once per level.
     """
     while S.size and S.tobytes() not in tried:
         tried.add(S.tobytes())
@@ -302,7 +273,8 @@ def _jump(fact: PenaltyFactorization, spec: ProblemSpec, S: np.ndarray,
         if pos.all():
             y = np.zeros(spec.n)
             y[S] = x[S]
-            return (x, S) if penalty_q(spec, fact.rho, x, y) < q_last else None
+            q = penalty_q(spec, fact.rho, x, y)
+            return (x, S, q) if q < q_last else None
         S = S[pos]
     return None
 
@@ -324,17 +296,20 @@ def bcd_inner(
     Once an iteration leaves the support S of y unchanged, the next one takes
     the saddle point of the level restricted to S (_saddle_point): the BCD
     fixed point that the x/y steps would otherwise approach one small step at
-    a time. This jump replaces that iteration's x-step; its y-step, q and
+    a time. This jump replaces that iteration's x-step; its y-step and
     monotonicity check are as usual, and fact.jumps counts the accepted
-    jumps. The stopping rule is tested only on an x-step iteration that keeps
-    the support and finds no jump, so a converged level ends on an x-step.
+    jumps. When the y-step keeps the jump's support S, it returns y* bit for
+    bit, and the q that _jump accepted is the iteration's q. The stopping
+    rule is tested only on an x-step iteration that keeps the support and
+    finds no jump, so a converged level ends on an x-step.
 
     Returns (x, y, iterations, q_trace, converged). q_trace holds each
-    iteration's penalty_q(x, y), one product with A (O(n*m) in factor form),
-    and is checked non-increasing; an increase beyond round-off is an
-    implementation bug. The x-step after a jump whose y-step kept S must
-    reproduce the jump (MeritMismatch otherwise); with the monotonicity
-    check, it catches a wrong x-step.
+    iteration's penalty_q(x, y), one product with A (O(n*m) in factor form;
+    none more after a jump whose y-step kept S), and is checked
+    non-increasing; an increase beyond round-off is an implementation bug.
+    The x-step after a jump whose y-step kept S must reproduce the jump
+    (MeritMismatch otherwise); with the monotonicity check, it catches a
+    wrong x-step.
     """
     if fact is None:
         fact = build_factorization(spec, rho)
@@ -344,7 +319,7 @@ def bcd_inner(
     converged = False
     iterations = 0
     tried: set[bytes] = set()
-    jump = None     # (x*, S) taken in place of the next x-step
+    jump = None     # (x*, S, q*) taken in place of the next x-step
     confirm = False  # y is the jump's y*, so the next x-step must return x* = x
     for _ in range(cfg.max_inner):
         iterations += 1
@@ -356,16 +331,16 @@ def bcd_inner(
             if confirm and relative_change(x_new, x) > MONOTONE_TOL:
                 raise MeritMismatch(f"x-step does not reproduce the jump at rho={rho}")
         else:
-            x_new, S_jump = jump
+            x_new, S_jump, q_jump = jump
         y_new = y_step(x_new, spec.k)
-        q = penalty_q(spec, fact.rho, x_new, y_new)
+        S = np.flatnonzero(y_new)
+        confirm = jump is not None and np.array_equal(S, S_jump)
+        q = q_jump if confirm else penalty_q(spec, fact.rho, x_new, y_new)
         if q_trace and q > q_trace[-1] + MONOTONE_TOL * (1.0 + abs(q)):
             raise MonotonicityViolation(
                 f"q increased from {q_trace[-1]:.12e} to {q:.12e} at rho={rho}"
             )
         q_trace.append(q)
-        S = np.flatnonzero(y_new)
-        confirm = jump is not None and np.array_equal(S, S_jump)
         if jump is not None:
             jump = None
         elif np.array_equal(S, np.flatnonzero(y)):
@@ -388,6 +363,24 @@ def _gradient_tol(h: np.ndarray, c: np.ndarray) -> float:
     H is PSD, so its largest entry sits on its diagonal.
     """
     return 64.0 * h.size * EPS * (1.0 + float(np.abs(h).max()) + float(np.abs(c).max()))
+
+
+def _curvature_tol(h: np.ndarray) -> float:
+    """Round-off level of the kernel's curvature along a unit direction, for its Hessian's diagonal h.
+
+    H is PSD, so its largest entry sits on its diagonal.
+    """
+    return 64.0 * h.size * EPS * float(np.abs(h).max())
+
+
+def _starting_face(H: np.ndarray, F: np.ndarray, nf: int, curv_tol: float) -> tuple[np.ndarray, bool]:
+    """(L, usable) for a warm start's face: _face_factor's L, and whether the kernel may start there.
+
+    A face whose factorization fails, or has a pivot at round-off (duplicate
+    assets), is not used.
+    """
+    L, info = _face_factor(H, F, nf)
+    return L, not info and (nf == 1 or np.diag(L)[1:].min() ** 2 > nf * curv_tol)
 
 
 def _face_factor(H: np.ndarray, F: np.ndarray, nf: int) -> tuple[np.ndarray, int]:
@@ -443,11 +436,9 @@ def _active_set(spec: ProblemSpec, idx: np.ndarray, start=None) -> tuple[np.ndar
     m = idx.size
     d = 2.0 * spec.cov.diag(idx)
     c = spec.tau * spec.mu[idx]
-    # A is PSD, so the largest |H_ij| sits on the diagonal
-    h_scale = float(np.abs(d).max())
     # round-off level of the gradient and of the curvature of M along a unit p
     g_tol = _gradient_tol(d, c)
-    curv_tol = 64.0 * m * EPS * h_scale
+    curv_tol = _curvature_tol(d)
     row = spec.cov.row_reader(idx)  # row(j) = A[idx[j], idx]
     F = np.empty(m, dtype=np.intp)  # free positions in idx, in the order of H's rows
     warm = start is not None
@@ -458,8 +449,7 @@ def _active_set(spec: ProblemSpec, idx: np.ndarray, start=None) -> tuple[np.ndar
         if not np.array_equal(idx, np.arange(spec.n)):
             R = R[:, idx]
         H = 2.0 * R  # grows by doubling from its nf rows
-        L, info = _face_factor(H, F, nf)
-        warm = not info and (nf == 1 or np.diag(L)[1:].min() ** 2 > nf * curv_tol)
+        L, warm = _starting_face(H, F, nf, curv_tol)
     if warm:
         z = np.array(start[1], dtype=float)
     else:
@@ -696,6 +686,35 @@ def _dual_start(spec: ProblemSpec) -> tuple[tuple | None, int, str]:
     return None, DUAL_STEPS, "Newton step cap"
 
 
+def _certified_seed(spec: ProblemSpec, P: np.ndarray, z: np.ndarray) -> np.ndarray | None:
+    """The dual's point z as the seed, if the kernel started at (P, z) would stop at once; else None.
+
+    Three tests, the kernel's own, at the cost of one product with A and an
+    O(|P|^2*m) face: the starting face of P passes the kernel's warm-start
+    test (_starting_face on 2(G_P G_P' + diag(d_P))); with g = 2Az - tau*mu
+    and beta = -mean(g_P), |g_P + beta| is at round-off (_gradient_tol), so z
+    is the face's minimizer; and no g_i + beta off P is below -_gradient_tol,
+    so the kernel would release nothing. That is the KKT system of the seed's
+    convex problem on a face with no flat direction.
+    """
+    cov, n = spec.cov, spec.n
+    h = 2.0 * cov.diag(np.arange(n))
+    c = spec.tau * spec.mu
+    GP = cov.G[P]
+    H = 2.0 * (GP @ GP.T)
+    H.flat[:: P.size + 1] += 2.0 * cov.d[P]
+    if not _starting_face(H, np.arange(P.size), P.size, _curvature_tol(h))[1]:
+        return None
+    g = 2.0 * cov.matvec(z) - c
+    lam = g - g[P].mean()  # g_i + beta
+    g_tol = _gradient_tol(h, c)
+    if np.abs(lam[P]).max() > g_tol or lam.min() < -g_tol:
+        return None
+    x = z.copy()
+    x[P] += (1.0 - x.sum()) / P.size
+    return x
+
+
 def dense_simplex_minimizer(spec: ProblemSpec) -> np.ndarray:
     """Exact minimizer of f over the full simplex (no sparsity).
 
@@ -703,20 +722,27 @@ def dense_simplex_minimizer(spec: ProblemSpec) -> np.ndarray:
     solvers with a support informed by the dense optimum rather than by mu
     alone. A simplex point keeps its largest entry in its top-k, so the seed
     is never empty. For a factor form with d > 0, Newton steps on the
-    (m + 1)-variable dual (_dual_start) guess the free set and a point on it,
-    and the kernel starts there; it then needs a couple of steps where a cold
-    start from one vertex takes about two per free asset. The kernel still
-    proves the result optimal, so a wrong guess costs time only. A dense
-    covariance, a d with a zero entry, few negative multipliers at the
+    (m + 1)-variable dual (_dual_start) guess the free set and a point on it.
+    When the point passes the kernel's own tests (_certified_seed: its
+    warm-start face test, stationarity on the free set and no negative
+    multiplier off it) it is returned and the kernel does not run; otherwise
+    the kernel starts there and needs a couple of steps where a cold start
+    from one vertex takes about two per free asset. Either way the result is
+    proved optimal by the kernel's tests, so a wrong guess costs time only. A
+    dense covariance, a d with a zero entry, few negative multipliers at the
     kernel's cold start (large tau), a guess that does not settle, or a
     starting face singular to round-off starts the kernel cold. One debug
     event per seed names the start (dual, or cold with the reason), the
-    Newton steps and the kernel steps.
+    Newton steps and the kernel steps (0 for a certified dual point).
     """
     start, newton_steps, reason = _dual_start(spec)
-    x, steps, warm = _active_set(spec, np.arange(spec.n), start)
-    if start is not None and not warm:
-        reason = "singular starting face"
+    x = None if start is None else _certified_seed(spec, *start)
+    if x is not None:
+        steps, warm = 0, True
+    else:
+        x, steps, warm = _active_set(spec, np.arange(spec.n), start)
+        if start is not None and not warm:
+            reason = "singular starting face"
     log.debug("dense seed: start=%s newton_steps=%d kernel_steps=%d",
               "dual" if warm else f"cold ({reason})", newton_steps, steps)
     return x

@@ -135,6 +135,36 @@ class TestOperatorParity:
             cov.shifted_solver(rho)
         assert Products.grams == 4 and cov._gram is None
 
+    @pytest.mark.parametrize("kind", ["d=c", "d-varying", "d=0"])
+    @pytest.mark.parametrize("rho", ["floor", 1e4, 1e6])
+    def test_sparse_solve_and_coupling_block(self, kind, rho):
+        # the k-sparse operations of a Woodbury level against solves with the formed A
+        base = factor_model_instance(476, 10, seed=0)
+        if kind == "d-varying":
+            d = base.d * np.random.default_rng(1).uniform(0.5, 2.0, base.n)
+            spec = ProblemSpec(G=base.G, d=d, mu=base.mu, tau=base.tau, k=base.k)
+        elif kind == "d=0":  # a wide returns window: 60 periods of 1000 assets
+            spec = monthly_returns_instance(1000, 10, seed=0)
+        else:
+            spec = base
+        assert spec.cov.factored and spec.cov.shifted_solver(1.0).cols is None
+        r = validate_problem(spec) + 1.0 if rho == "floor" else rho
+        A, n = spec.A, spec.n
+        level = spec.cov.shifted_solver(r, spec.k)
+        rng = np.random.default_rng(7)
+        for size in (1, spec.k):
+            S = np.sort(rng.choice(n, size, replace=False))
+            v = rng.uniform(0.1, 1.0, size)
+            b = np.zeros(n)
+            b[S] = v
+            ref = np.linalg.solve(A + r * np.eye(n), b)
+            close(level.sparse(S, v), ref, np.abs(ref).max())
+            W = np.linalg.solve(A + r * np.eye(n), np.eye(n)[:, S])  # columns of S
+            ref = (A @ W)[S]
+            K = level.coupling(S)
+            close(K, ref, np.abs(ref).max())
+            assert np.linalg.eigvalsh(0.5 * (K + K.T)).min() >= -1e-12 * np.abs(ref).max()
+
     def test_lambda_max_of_constant_and_varying_d(self):
         rng = np.random.default_rng(3)
         G = rng.standard_normal((300, 15)) / np.sqrt(15)

@@ -126,7 +126,8 @@ class TestXStep:
 
     @pytest.mark.parametrize("big_rho", [False, True])
     def test_cached_columns_match_dense_kkt_solve(self, big_rho):
-        spec = factor_model_instance(226, 10, seed=0)
+        # a dense A caches columns; 25 of them fit under n // CACHE_DIVISOR = 56
+        spec = dense(factor_model_instance(226, 10, seed=0))
         rho = 1e4 if big_rho else validate_problem(spec) + 1.0
         rng = np.random.default_rng(47)
 
@@ -230,7 +231,7 @@ class TestBcdInner:
         x, y, _, q_trace, _ = bcd_inner(spec, 3.0, y_step(spec.mu, 2), SolverConfig())
         assert q_trace[-1] == pytest.approx(penalty_q(spec, 3.0, x, y), abs=1e-12)
 
-    @pytest.mark.parametrize("kind", ["random", "rank_deficient", "scale"])
+    @pytest.mark.parametrize("kind", ["random", "rank_deficient", "scale", "backtest"])
     @pytest.mark.parametrize("rho", ["floor", 1e4, 1e6])
     def test_merit_matches_penalty_q_every_iteration(self, monkeypatch, kind, rho):
         pairs = []
@@ -246,16 +247,61 @@ class TestBcdInner:
                 spec = random_psd_instance(n=12, k=4, seed=seed)
             elif kind == "rank_deficient":  # estimation window shorter than the asset count
                 spec = monthly_returns_instance(60, 6, seed=seed, periods=30)
-            else:
+            elif kind == "scale":
                 spec = factor_model_instance(226, 10, seed=seed)
+            else:  # the backtest's instance type, where a jump's y-step can change the support
+                spec = monthly_returns_instance(100, 10, seed=seed)
             r = validate_problem(spec) + 1.0 if rho == "floor" else rho
             pairs.clear()
             y0 = y_step(dense_simplex_minimizer(spec), spec.k)
             _, _, iters, q_trace, _ = bcd_inner(spec, r, y0, SolverConfig())
             assert len(pairs) == len(q_trace) == iters
+            A = spec.A  # formed once: a reference independent of spec.cov
             for q, (x, y) in zip(q_trace, pairs):
-                exact = penalty_q(spec, r, x, y)
-                assert abs(q - exact) <= 1e-12 * (1.0 + abs(exact))
+                exact = x @ A @ x - spec.tau * (spec.mu @ x) + r * ((x - y) @ (x - y))
+                assert abs(q - exact) <= 1e-12 * abs(exact)
+
+    def test_accepted_jump_reuses_its_q(self, monkeypatch):
+        # one penalty_q per iteration, plus one per candidate jump, minus one
+        # per accepted jump whose y-step kept its support: that y is the jump's
+        # y* bit for bit, so its q is the one the jump was accepted by
+        calls, events = [0], []
+        plain_q, plain_jump, plain_y_step = pd.penalty_q, pd._jump, pd.y_step
+
+        def counting_q(*args):
+            calls[0] += 1
+            return plain_q(*args)
+
+        def recording_jump(*args):
+            before = calls[0]
+            jump = plain_jump(*args)
+            events.append(("jump", jump, calls[0] - before))
+            return jump
+
+        def recording_y_step(x, k):
+            y = plain_y_step(x, k)
+            events.append(("y", np.flatnonzero(y), 0))
+            return y
+
+        monkeypatch.setattr(pd, "penalty_q", counting_q)
+        monkeypatch.setattr(pd, "_jump", recording_jump)
+        monkeypatch.setattr(pd, "y_step", recording_y_step)
+        kept_total = changed_total = 0
+        for spec in [monthly_returns_instance(100, 10, seed=s) for s in range(3)] + [
+                factor_model_instance(226, 10, seed=0)]:
+            y0 = plain_y_step(dense_simplex_minimizer(spec), spec.k)
+            calls[0] = 0
+            events.clear()
+            iters = bcd_inner(spec, validate_problem(spec) + 1.0, y0, SolverConfig())[2]
+            candidates = sum(e[2] for e in events if e[0] == "jump")
+            kept = changed = 0
+            for (kind, jump, _), (_, S, _) in zip(events, events[1:]):
+                if kind == "jump" and jump is not None:
+                    same = np.array_equal(S, jump[1])
+                    kept, changed = kept + same, changed + (not same)
+            assert calls[0] == iters + candidates - kept
+            kept_total, changed_total = kept_total + kept, changed_total + changed
+        assert kept_total >= 4 and changed_total >= 1
 
     def test_given_first_x_step_same_result(self):
         # x0 = x_step(fact, spec, y0) stands in for the first x-step, bit for bit
@@ -769,12 +815,33 @@ class TestDualSeed:
         _, event = self._seed_start(spec, caplog)
         assert event.startswith("dense seed: start=dual newton_steps=")
         newton, kernel = (int(part.split("=")[1]) for part in event.split()[-2:])
-        assert 1 <= newton <= pd.DUAL_STEPS and kernel == 2
+        # the dual's point passes the kernel's own tests, so the kernel does not run
+        assert 1 <= newton <= pd.DUAL_STEPS and kernel == 0
         _, event = self._seed_start(dense(spec), caplog)
         assert event.startswith("dense seed: start=cold (dense covariance) newton_steps=0 ")
         # a cold start takes a step per release and per drop, more than 100 to
         # reach this seed's 54-asset free set
         assert int(event.split("=")[-1]) > 100
+
+    @pytest.mark.parametrize("n", [226, 1000])
+    def test_refused_certificate_runs_the_kernel(self, n, monkeypatch, caplog):
+        # without P's largest entry the dual's point is not the seed: the
+        # certificate must refuse it and the kernel finish from there
+        def short_start(spec):
+            (P, z), steps, reason = dual_start(spec)
+            j = int(np.argmax(z[P]))
+            z = z.copy()
+            z[P[j]] = 0.0
+            return (np.delete(P, j), z / z.sum()), steps, reason
+
+        dual_start = pd._dual_start
+        monkeypatch.setattr(pd, "_dual_start", short_start)
+        spec = factor_model_instance(n, 10, seed=0)
+        x, event = self._seed_start(spec, caplog)
+        assert event.startswith("dense seed: start=dual ")
+        assert int(event.split("=")[-1]) > 0
+        x_cold = pd._active_set(spec, np.arange(spec.n))[0]
+        np.testing.assert_allclose(x, x_cold, rtol=0, atol=1e-12)
 
 
 class TestKktCheck:
