@@ -54,7 +54,7 @@ class MonotonicityViolation(CcmvError):
 
 
 class BadSupport(CcmvError):
-    """Empty or oversized support set."""
+    """Empty support set, or one naming an index outside [0, n)."""
 
 
 class TooLarge(CcmvError):

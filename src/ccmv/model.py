@@ -179,10 +179,8 @@ class CholeskyLevel:
     call that needs them (the missing ones of a call in one batched solve)
     and kept for the level, so sparse costs O(n*|S|) once its columns are
     in. The cache holds at most n // CACHE_DIVISOR columns; cols is None on
-    a level that keeps none. Where the columns of S are not cached, coupling
-    solves them and keeps them for that S array alone: the saddle point's
-    sparse solve, which follows on the same array, reuses them rather than
-    solving once more.
+    a level that keeps none. Where the columns of S are not cached, sparse
+    is one full backsolve and coupling solves the columns of S.
     """
 
     def __init__(self, A: np.ndarray, rho: float, cache: bool):
@@ -195,7 +193,6 @@ class CholeskyLevel:
         self.A = A
         self.cols = np.empty((0, n)) if cache else None  # row j: the column i with slot[i] == j
         self.slot = np.full(n, -1)  # row of column i in cols, -1 if not cached
-        self._coupled = (None, None)  # (S, its columns) of the last uncached coupling
 
     def solve(self, B: np.ndarray) -> np.ndarray:
         """B (A + rho I)^{-1}, row by row."""
@@ -219,12 +216,9 @@ class CholeskyLevel:
     def sparse(self, S: np.ndarray, v: np.ndarray) -> np.ndarray:
         """(A + rho I)^{-1} b for the b that is v on S and zero off it.
 
-        O(n*|S|) from the cached columns, or from those coupling has just
-        solved for this S array; else one full O(n^2) backsolve.
+        O(n*|S|) from the cached columns, else one full O(n^2) backsolve.
         """
         W = self._columns(S)
-        if W is None and self._coupled[0] is S:
-            W = self._coupled[1]
         if W is not None:
             return v @ W
         b = np.zeros(self.slot.size)
@@ -236,7 +230,6 @@ class CholeskyLevel:
         W = self._columns(S)
         if W is None:
             W = self.solve(_unit_rows(self.slot.size, S))
-            self._coupled = (S, W)
         return self.A[S] @ W.T
 
 
@@ -346,10 +339,8 @@ class WoodburyLevel:
     SIAM Review 31, 1989) gives (A + rho I)^{-1} = D^{-1} - D^{-1}G C^{-1}
     G'D^{-1}. A right-hand side that is zero off S meets G only through G_S,
     so sparse costs O(|S|*m + m^2 + n*m) and coupling O(|S|*m^2), and no
-    column of the inverse is formed or kept (cols is None).
+    column of the inverse is formed or kept.
     """
-
-    cols = None
 
     def __init__(self, G: np.ndarray, d: np.ndarray, rho: float, inv: np.ndarray, L: np.ndarray):
         # inv = 1 / (d + rho); L is the lower Cholesky factor of C

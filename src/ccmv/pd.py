@@ -25,9 +25,9 @@ factor form, A = G G' + diag(d) with G n x m and m small beside n
 (model.FACTOR_RANK_RATIO), is never formed: every level solves by Woodbury
 from one m x m Cholesky (of a capacitance taken, for a constant d, from the
 one G'G that also gave lambda_max), a k-sparse solve costs O(n*m) and the
-support's block O(k*m^2), and no column is cached. Each level's first
-x-step is the one the schedule already took from the level's starting y
-(for upsilon, or for the safeguard's probe) and is not repeated.
+support's block O(k*m^2), and no column is cached. A level is prepared
+only when it runs; its first x-step, taken for upsilon or for the
+safeguard's probe, is also the descent's first and is not repeated.
 The discovered support and the seed's support (once, when they are the
 same) are then polished by the same finite primal active-set solve of the
 convex QP restricted to a support (exact for any support size), which keeps
@@ -102,15 +102,13 @@ DUAL_MIN_RELEASABLE = 128
 class PenaltyFactorization:
     """The solves with (A + rho*I) that the x-steps and jumps of one penalty level reuse.
 
-    solve is the level's solver, spec.cov.shifted_solver(rho, k), with three
-    operations: solve(B), the row solve B -> B (A + rho I)^{-1};
-    solve.sparse(S, v), (A + rho I)^{-1} applied to a vector that is v on S
-    and zero off it; and solve.coupling(S), the block [A (A + rho I)^{-1}]_SS.
-    A dense A is factored by Cholesky and the columns of a support are
-    cached as they are first needed; a factor form solves by Woodbury from
-    one m x m Cholesky and caches nothing, so a k-sparse solve costs O(n*m)
-    and a coupling block O(k*m^2). s and t are the two full solves every
-    step reuses.
+    solve is the level's solver, spec.cov.shifted_solver(rho, k): a
+    model.CholeskyLevel or model.WoodburyLevel, with solve(B), the row solve
+    B -> B (A + rho I)^{-1}; solve.sparse(S, v), (A + rho I)^{-1} applied to
+    a vector that is v on S and zero off it; and solve.coupling(S), the
+    block [A (A + rho I)^{-1}]_SS. s and t are the two full solves every
+    step reuses. A level carries its own rho: bcd_inner, x_step and
+    _saddle_point take the level alone.
     """
 
     rho: float
@@ -120,11 +118,6 @@ class PenaltyFactorization:
     ets: float         # e's
     ett: float         # e't
     jumps: int = 0     # jumps accepted by the level's bcd_inner
-
-    @property
-    def cols(self) -> np.ndarray | None:
-        """The cached columns (A + rho I)^{-1} e_i, one row each; None on a level that keeps no cache."""
-        return self.solve.cols
 
 
 def build_factorization(spec: ProblemSpec, rho: float) -> PenaltyFactorization:
@@ -146,8 +139,8 @@ def build_factorization(spec: ProblemSpec, rho: float) -> PenaltyFactorization:
     return PenaltyFactorization(rho=rho, solve=solve, s=s, t=t, ets=ets, ett=float(t.sum()))
 
 
-def x_step(fact: PenaltyFactorization, spec: ProblemSpec, y: np.ndarray) -> np.ndarray:
-    """Unique minimizer of q_rho(., y) over {e'x = 1}, in closed form.
+def x_step(fact: PenaltyFactorization, y: np.ndarray) -> np.ndarray:
+    """Unique minimizer of q_rho(., y) over {e'x = 1}, in closed form, for the level fact.
 
     u = (A + rho I)^{-1}(tau*mu + 2*rho*y) is t plus one sparse solve of
     2*rho*y on y's support S: O(|S|*m + n*m) in factor form; for a dense A,
@@ -191,9 +184,8 @@ def relative_change(new: np.ndarray, old: np.ndarray) -> float:
     return float(np.abs(new - old).max() / max(np.abs(new).max(), 1.0))
 
 
-def _saddle_point(fact: PenaltyFactorization, spec: ProblemSpec,
-                  S: np.ndarray) -> np.ndarray | None:
-    """Minimizer x of q_rho over {e'x = 1, y = x on S, y = 0 off S}; None if singular.
+def _saddle_point(fact: PenaltyFactorization, S: np.ndarray) -> np.ndarray | None:
+    """Minimizer x of q_rho over {e'x = 1, y = x on S, y = 0 off S} at the level fact; None if singular.
 
     There q_rho(x, y) = x'(A + rho I - rho E_S E_S')x - tau*mu'x, a convex
     quadratic whose minimizer solves (A + rho I - rho E_S E_S')x =
@@ -266,7 +258,7 @@ def _jump(fact: PenaltyFactorization, spec: ProblemSpec, S: np.ndarray,
     """
     while S.size and S.tobytes() not in tried:
         tried.add(S.tobytes())
-        x = _saddle_point(fact, spec, S)
+        x = _saddle_point(fact, S)
         if x is None:
             return None
         pos = x[S] > 0.0
@@ -281,17 +273,16 @@ def _jump(fact: PenaltyFactorization, spec: ProblemSpec, S: np.ndarray,
 
 def bcd_inner(
     spec: ProblemSpec,
-    rho: float,
+    fact: PenaltyFactorization,
     y0: np.ndarray,
     cfg: SolverConfig,
-    fact: PenaltyFactorization | None = None,
     x0: np.ndarray | None = None,
 ):
-    """Alternate x/y steps at fixed rho until the relative-change rule fires.
+    """Alternate x/y steps on the level fact, at its rho, until the relative-change rule fires.
 
-    x0, if given, must be x_step(fact, spec, y0), which the caller has
-    already computed; it is taken as the first iteration's x-step rather than
-    solved again. ccmv_pd_solve passes each level's first x-step this way.
+    x0, if given, must be x_step(fact, y0), which the caller has already
+    computed; it is taken as the first iteration's x-step rather than solved
+    again. ccmv_pd_solve passes each level's first x-step this way.
 
     Once an iteration leaves the support S of y unchanged, the next one takes
     the saddle point of the level restricted to S (_saddle_point): the BCD
@@ -311,8 +302,6 @@ def bcd_inner(
     (MeritMismatch otherwise); with the monotonicity check, it catches a
     wrong x-step.
     """
-    if fact is None:
-        fact = build_factorization(spec, rho)
     y = np.asarray(y0, dtype=float).copy()
     x = None
     q_trace: list[float] = []
@@ -325,11 +314,11 @@ def bcd_inner(
         iterations += 1
         if jump is None:
             if x0 is None:
-                x_new = x_step(fact, spec, y)
+                x_new = x_step(fact, y)
             else:
                 x_new, x0 = x0, None
             if confirm and relative_change(x_new, x) > MONOTONE_TOL:
-                raise MeritMismatch(f"x-step does not reproduce the jump at rho={rho}")
+                raise MeritMismatch(f"x-step does not reproduce the jump at rho={fact.rho}")
         else:
             x_new, S_jump, q_jump = jump
         y_new = y_step(x_new, spec.k)
@@ -338,7 +327,7 @@ def bcd_inner(
         q = q_jump if confirm else penalty_q(spec, fact.rho, x_new, y_new)
         if q_trace and q > q_trace[-1] + MONOTONE_TOL * (1.0 + abs(q)):
             raise MonotonicityViolation(
-                f"q increased from {q_trace[-1]:.12e} to {q:.12e} at rho={rho}"
+                f"q increased from {q_trace[-1]:.12e} to {q:.12e} at rho={fact.rho}"
             )
         q_trace.append(q)
         if jump is not None:
@@ -519,15 +508,27 @@ def _active_set(spec: ProblemSpec, idx: np.ndarray, start=None) -> tuple[np.ndar
     return x, steps, warm
 
 
+def _support_indices(spec: ProblemSpec, support) -> np.ndarray:
+    """A support's sorted distinct indices; BadSupport if it is empty or names one outside [0, n)."""
+    idx = np.array(sorted({int(i) for i in support}), dtype=np.intp)
+    if not idx.size:
+        raise BadSupport("empty support")
+    bad = idx[(idx < 0) | (idx >= spec.n)]
+    if bad.size:
+        raise BadSupport(f"support indices {bad.tolist()} outside [0, {spec.n})")
+    return idx
+
+
 def polish_support(spec: ProblemSpec, support, x0: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Exact solve of the problem restricted to a support: zeros stay hard zeros.
 
     Returns (x, f(x)) for the global minimizer x of the convex QP
     min x'Ax - tau*mu'x over {e'x = 1, x >= 0, x_i = 0 off the support} (an
-    index listed twice counts once), found by the finite active-set kernel
-    _active_set. On its free set F, a step costs O(|S|*|F| + |F|^2) from a
-    Cholesky factor updated as an index enters, and a drop O(|F|^3) more,
-    for any support size |S|. f(x) is one objective_f, a product with A.
+    index listed twice counts once, one outside [0, n) is BadSupport), found
+    by the finite active-set kernel _active_set. On its free set F, a step
+    costs O(|S|*|F| + |F|^2) from a Cholesky factor updated as an index
+    enters, and a drop O(|F|^3) more, for any support size |S|. f(x) is one
+    objective_f, a product with A.
 
     x0, a length-n point such as the iterate whose support is polished,
     starts the kernel warm: its positive entries on the support, rescaled to
@@ -536,10 +537,7 @@ def polish_support(spec: ProblemSpec, support, x0: np.ndarray | None = None) -> 
     is the same from any start; only round-off and, where it is not unique,
     the minimizer may differ.
     """
-    support = tuple(sorted({int(i) for i in support}))
-    if not support:
-        raise BadSupport("empty support")
-    idx = np.array(support)
+    idx = _support_indices(spec, support)
     start = None
     if x0 is not None:
         z0 = np.maximum(np.asarray(x0, dtype=float)[idx], 0.0)
@@ -553,32 +551,31 @@ def polish_support(spec: ProblemSpec, support, x0: np.ndarray | None = None) -> 
 def kkt_check(spec: ProblemSpec, x: np.ndarray, support) -> KktCertificate:
     """Certificate of the first-order system on a given support.
 
-    The multiplier that is free off-support is eliminated analytically; beta is
-    fit over the strictly positive coordinates, and the nonnegativity
-    multipliers are read off the remaining support coordinates.
+    The support is read as polish_support reads it (an index listed twice
+    counts once; BadSupport for an index outside [0, n)). The multiplier that
+    is free off-support is eliminated analytically; beta is fit over the
+    strictly positive coordinates, and the nonnegativity multipliers are read
+    off the remaining support coordinates.
     """
-    support = tuple(sorted(int(i) for i in support))
-    if not support:
-        raise BadSupport("empty support")
+    idx = _support_indices(spec, support)
     x = np.asarray(x, dtype=float)
     g = 2.0 * spec.cov.matvec(x) - spec.tau * spec.mu
-    pos = [i for i in support if x[i] > ACTIVE_TOL]
-    if pos:
+    pos = idx[x[idx] > ACTIVE_TOL]
+    if pos.size:
         beta = float(-np.mean(g[pos]))
         stationarity = float(np.abs(g[pos] + beta).max())
     else:
         beta = 0.0
         stationarity = 0.0
     lam = np.zeros(spec.n)
-    zero_on_support = [i for i in support if x[i] <= ACTIVE_TOL]
-    for i in zero_on_support:
-        lam[i] = g[i] + beta
+    zero_on_support = idx[x[idx] <= ACTIVE_TOL]
+    lam[zero_on_support] = g[zero_on_support] + beta
     dual_violation = float(max(0.0, -lam.min()))
     complementarity = float(np.abs(lam * x).max())
     return KktCertificate(
         beta=beta,
         lam=lam,
-        support=support,
+        support=tuple(idx.tolist()),
         stationarity_residual=stationarity,
         complementarity_residual=complementarity,
         dual_feasibility_violation=dual_violation,
@@ -748,8 +745,20 @@ def dense_simplex_minimizer(spec: ProblemSpec) -> np.ndarray:
     return x
 
 
+def _log_level(rec: OuterRecord) -> None:
+    """The debug event of one penalty level, from its finished record."""
+    log.debug("pd level: rho=%s inner_iters=%d jumps=%d q=%s infeas=%s note=%s",
+              rec.rho, rec.inner_iters, rec.jumps, rec.q, rec.infeas, rec.note)
+
+
 def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solution:
     """Full penalty-decomposition solve: schedule, safeguard, polish, certify.
+
+    Each penalty level is one pass of the loop: its solves, its first x-step
+    x0 and q0 = q_rho(x0, y), which sets upsilon = max(f(x_feas), q0) on the
+    first level and is the safeguard's probe on later ones (q0 > upsilon
+    restarts the level from x_feas), then bcd_inner and the level's
+    OuterRecord, logged as one debug event once the next probe settles its note.
 
     Returns the better of the polished final support and the polished top-k
     of the exact dense seed (the final polish on a tie). When the two are the
@@ -777,31 +786,27 @@ def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solutio
     seed_support = np.flatnonzero(y)
     incumbent = polish_support(spec, seed_support)
 
-    fact = build_factorization(spec, rho)
-    x0 = x_step(fact, spec, y)
-    upsilon = max(objective_f(spec, x_feas), penalty_q(spec, rho, x0, y))
-
-    status = STATUS_MAX_ITERATIONS
     safeguard_resets = 0
     for j in range(cfg.max_outer):
-        # x0 is x_step(fact, spec, y), the level's first x-step, or None after a reset
-        x, y, inner_iters, q_trace, _ = bcd_inner(spec, rho, y, cfg, fact=fact, x0=x0)
+        fact = build_factorization(spec, rho)
+        x0 = x_step(fact, y)  # the level's first x-step, which bcd_inner takes as given
+        q0 = penalty_q(spec, rho, x0, y)
+        if j == 0:
+            upsilon = max(objective_f(spec, x_feas), q0)
+        else:
+            if q0 > upsilon:  # the safeguard: this level starts from x_feas
+                y, x0 = x_feas.copy(), None
+                safeguard_resets += 1
+                trace[-1].note = (trace[-1].note + "; " if trace[-1].note else "") + "safeguard reset"
+            _log_level(trace[-1])  # the previous level's record is final once probed
+        x, y, inner_iters, q_trace, _ = bcd_inner(spec, fact, y, cfg, x0)
         infeas = float(np.abs(x - y).max())
         trace.append(OuterRecord(rho=rho, inner_iters=inner_iters, q=q_trace[-1], infeas=infeas,
                                  note=raised_note if j == 0 else "", jumps=fact.jumps))
         if infeas <= cfg.eps_outer:
-            status = STATUS_CONVERGED
             break
-        if j + 1 == cfg.max_outer:  # no level follows: build, probe and reset nothing
-            break
-        rho_next = cfg.zeta * rho
-        fact = build_factorization(spec, rho_next)
-        x0 = x_step(fact, spec, y)
-        if penalty_q(spec, rho_next, x0, y) > upsilon:
-            y, x0 = x_feas.copy(), None
-            safeguard_resets += 1
-            trace[-1].note = (trace[-1].note + "; " if trace[-1].note else "") + "safeguard reset"
-        rho = rho_next
+        rho *= cfg.zeta
+    _log_level(trace[-1])
 
     final_support = np.flatnonzero(y)
     if np.array_equal(final_support, seed_support):
@@ -817,7 +822,7 @@ def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solutio
         support=support,
         objective=objective,
         kkt=cert,
-        status=status,
+        status=STATUS_CONVERGED if trace[-1].infeas <= cfg.eps_outer else STATUS_MAX_ITERATIONS,
         trace=trace,
         solver="pd",
         safeguard_resets=safeguard_resets,

@@ -73,7 +73,7 @@ def test_criterion_2_x_step_closed_form():
             for rho in (0.1, 1.0, 10.0, lam_max + 1.0):
                 y = rng.normal(size=n)
                 fact = build_factorization(spec, rho)
-                x = x_step(fact, spec, y)
+                x = x_step(fact, y)
                 x_ref = kkt_linear_solve(spec, rho, y)
                 assert np.abs(x - x_ref).max() <= 1e-8
                 cases += 1
@@ -126,7 +126,7 @@ def test_criterion_4_bcd_monotonicity():
             y0 = y_step(rng.normal(size=n), k)
             rho = float(rng.uniform(0.5, 50.0))
             # bcd_inner raises on any violation; re-check the trace explicitly
-            _, _, _, q_trace, _ = bcd_inner(spec, rho, y0, SolverConfig())
+            _, _, _, q_trace, _ = bcd_inner(spec, build_factorization(spec, rho), y0, SolverConfig())
             for a, b in zip(q_trace, q_trace[1:]):
                 assert b <= a + 1e-9 * (1.0 + abs(b))
         ok = True

@@ -24,7 +24,7 @@ from ccmv import (
 from ccmv import model
 from ccmv.errors import BadData, BadDimension
 from ccmv.model import FACTOR_RANK_RATIO, DenseCovariance, FactorCovariance
-from ccmv.synthetic import factor_model_instance, monthly_returns_instance
+from ccmv.synthetic import factor_model_instance, monthly_returns_instance, random_psd_instance
 
 from conftest import assert_feasible, dense
 
@@ -97,9 +97,9 @@ class TestOperatorParity:
             close(fact.t, dfact.t, np.abs(dfact.t).max())
             y = np.zeros(n)
             y[S] = z
-            xd = x_step(dfact, ds, y)
+            xd = x_step(dfact, y)
             # x = t/2 + ... cancels terms as large as t/2 when tau*mu dominates
-            close(x_step(fact, spec, y), xd, max(np.abs(xd).max(), 0.5 * np.abs(dfact.t).max()))
+            close(x_step(fact, y), xd, max(np.abs(xd).max(), 0.5 * np.abs(dfact.t).max()))
             q = penalty_q(ds, rho, xd, y)
             close(penalty_q(spec, rho, xd, y), q, 1.0 + abs(q) + size)
 
@@ -135,19 +135,28 @@ class TestOperatorParity:
             cov.shifted_solver(rho)
         assert Products.grams == 4 and cov._gram is None
 
-    @pytest.mark.parametrize("kind", ["d=c", "d-varying", "d=0"])
+    @pytest.mark.parametrize("kind", ["d=c", "d-varying", "d=0", "dense-cached", "dense-uncached"])
     @pytest.mark.parametrize("rho", ["floor", 1e4, 1e6])
     def test_sparse_solve_and_coupling_block(self, kind, rho):
-        # the k-sparse operations of a Woodbury level against solves with the formed A
-        base = factor_model_instance(476, 10, seed=0)
+        # the k-sparse operations of a level against solves with the formed A:
+        # Woodbury levels, and Cholesky levels with and without a column cache
         if kind == "d-varying":
+            base = factor_model_instance(476, 10, seed=0)
             d = base.d * np.random.default_rng(1).uniform(0.5, 2.0, base.n)
             spec = ProblemSpec(G=base.G, d=d, mu=base.mu, tau=base.tau, k=base.k)
         elif kind == "d=0":  # a wide returns window: 60 periods of 1000 assets
             spec = monthly_returns_instance(1000, 10, seed=0)
+        elif kind == "dense-cached":  # k <= n // CACHE_DIVISOR
+            spec = dense(factor_model_instance(226, 10))
+        elif kind == "dense-uncached":  # k > n // CACHE_DIVISOR
+            spec = random_psd_instance(12, 8)
         else:
-            spec = base
-        assert spec.cov.factored and spec.cov.shifted_solver(1.0).cols is None
+            spec = factor_model_instance(476, 10, seed=0)
+        if kind.startswith("dense"):
+            cols = spec.cov.shifted_solver(1.0, spec.k).cols
+            assert not spec.cov.factored and (cols is None) == (kind == "dense-uncached")
+        else:  # a Woodbury level keeps no column cache
+            assert spec.cov.factored and not hasattr(spec.cov.shifted_solver(1.0), "cols")
         r = validate_problem(spec) + 1.0 if rho == "floor" else rho
         A, n = spec.A, spec.n
         level = spec.cov.shifted_solver(r, spec.k)
@@ -157,13 +166,15 @@ class TestOperatorParity:
             v = rng.uniform(0.1, 1.0, size)
             b = np.zeros(n)
             b[S] = v
-            ref = np.linalg.solve(A + r * np.eye(n), b)
-            close(level.sparse(S, v), ref, np.abs(ref).max())
+            x_ref = np.linalg.solve(A + r * np.eye(n), b)
+            close(level.sparse(S, v), x_ref, np.abs(x_ref).max())
             W = np.linalg.solve(A + r * np.eye(n), np.eye(n)[:, S])  # columns of S
             ref = (A @ W)[S]
             K = level.coupling(S)
             close(K, ref, np.abs(ref).max())
             assert np.linalg.eigvalsh(0.5 * (K + K.T)).min() >= -1e-12 * np.abs(ref).max()
+            # sparse on the S array coupling has just read, as the jump calls them
+            close(level.sparse(S, v), x_ref, np.abs(x_ref).max())
 
     def test_lambda_max_of_constant_and_varying_d(self):
         rng = np.random.default_rng(3)

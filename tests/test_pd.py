@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -91,19 +92,19 @@ class TestXStep:
     def test_point_on_hyperplane_fixed(self):
         spec = ProblemSpec(np.zeros((2, 2)), np.zeros(2), tau=1.0, k=1)
         fact = build_factorization(spec, 1.0)
-        np.testing.assert_allclose(x_step(fact, spec, np.array([1.0, 0.0])),
+        np.testing.assert_allclose(x_step(fact, np.array([1.0, 0.0])),
                                    [1.0, 0.0], atol=1e-12)
 
     def test_symmetric_projection(self):
         spec = ProblemSpec(np.zeros((2, 2)), np.zeros(2), tau=1.0, k=1)
         fact = build_factorization(spec, 1.0)
-        np.testing.assert_allclose(x_step(fact, spec, np.zeros(2)), [0.5, 0.5])
+        np.testing.assert_allclose(x_step(fact, np.zeros(2)), [0.5, 0.5])
 
     def test_hand_solved_diag(self):
         # min a^2 + 3b^2 + (a^2+b^2) over a+b=1 gives a=2/3
         spec = ProblemSpec(np.diag([1.0, 3.0]), np.zeros(2), tau=1e-300, k=1)
         fact = build_factorization(spec, 1.0)
-        np.testing.assert_allclose(x_step(fact, spec, np.zeros(2)),
+        np.testing.assert_allclose(x_step(fact, np.zeros(2)),
                                    [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
 
     def test_budget_pinned(self):
@@ -111,7 +112,7 @@ class TestXStep:
         for seed in range(10):
             spec = random_psd_instance(n=8, k=3, seed=seed)
             fact = build_factorization(spec, 2.0)
-            x = x_step(fact, spec, rng.normal(size=8))
+            x = x_step(fact, rng.normal(size=8))
             assert abs(x.sum() - 1.0) <= 1e-10
 
     def test_matches_dense_kkt_solve(self):
@@ -121,7 +122,7 @@ class TestXStep:
             rho = float(rng.uniform(0.1, 10.0))
             fact = build_factorization(spec, rho)
             y = rng.normal(size=7)
-            np.testing.assert_allclose(x_step(fact, spec, y),
+            np.testing.assert_allclose(x_step(fact, y),
                                        kkt_linear_solve(spec, rho, y), atol=1e-8)
 
     @pytest.mark.parametrize("big_rho", [False, True])
@@ -149,10 +150,10 @@ class TestXStep:
         ]
         fact = build_factorization(spec, rho)
         for y, cached in sequence:
-            x = x_step(fact, spec, y)
-            assert fact.cols.shape[0] == cached
+            x = x_step(fact, y)
+            assert fact.solve.cols.shape[0] == cached
             np.testing.assert_allclose(x, kkt_linear_solve(spec, rho, y), rtol=0, atol=1e-10)
-            fresh = x_step(build_factorization(spec, rho), spec, y)
+            fresh = x_step(build_factorization(spec, rho), y)
             np.testing.assert_allclose(x, fresh, rtol=0, atol=1e-15)
 
 
@@ -205,13 +206,13 @@ class TestBcdInner:
         # hyperplane is a true fixed point of the alternation
         spec = ProblemSpec(np.zeros((3, 3)), np.zeros(3), tau=1.0, k=1)
         y0 = np.array([1.0, 0.0, 0.0])
-        x, y, iters, q_trace, converged = bcd_inner(spec, 10.0, y0, SolverConfig())
+        x, y, iters, q_trace, converged = bcd_inner(spec, build_factorization(spec, 10.0), y0, SolverConfig())
         assert converged and iters <= 2
         assert np.flatnonzero(y).tolist() == [0]
 
     def test_support_retained(self, toy_spec):
-        x, y, _, _, converged = bcd_inner(toy_spec, 10.0, np.array([1.0, 0, 0]),
-                                          SolverConfig())
+        x, y, _, _, converged = bcd_inner(toy_spec, build_factorization(toy_spec, 10.0),
+                                          np.array([1.0, 0, 0]), SolverConfig())
         assert converged
         assert np.flatnonzero(y).tolist() == [0]
 
@@ -222,13 +223,14 @@ class TestBcdInner:
             spec = random_psd_instance(n=n, k=int(rng.integers(1, n)), seed=seed)
             y0 = y_step(rng.normal(size=n), spec.k)
             rho = float(rng.uniform(0.5, 20.0))
-            _, _, _, q_trace, _ = bcd_inner(spec, rho, y0, SolverConfig())
+            _, _, _, q_trace, _ = bcd_inner(spec, build_factorization(spec, rho), y0, SolverConfig())
             for a, b in zip(q_trace, q_trace[1:]):
                 assert b <= a + 1e-9 * (1.0 + abs(b))
 
     def test_q_matches_direct_evaluation(self):
         spec = random_psd_instance(n=5, k=2, seed=9)
-        x, y, _, q_trace, _ = bcd_inner(spec, 3.0, y_step(spec.mu, 2), SolverConfig())
+        x, y, _, q_trace, _ = bcd_inner(spec, build_factorization(spec, 3.0), y_step(spec.mu, 2),
+                                     SolverConfig())
         assert q_trace[-1] == pytest.approx(penalty_q(spec, 3.0, x, y), abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["random", "rank_deficient", "scale", "backtest"])
@@ -254,7 +256,7 @@ class TestBcdInner:
             r = validate_problem(spec) + 1.0 if rho == "floor" else rho
             pairs.clear()
             y0 = y_step(dense_simplex_minimizer(spec), spec.k)
-            _, _, iters, q_trace, _ = bcd_inner(spec, r, y0, SolverConfig())
+            _, _, iters, q_trace, _ = bcd_inner(spec, build_factorization(spec, r), y0, SolverConfig())
             assert len(pairs) == len(q_trace) == iters
             A = spec.A  # formed once: a reference independent of spec.cov
             for q, (x, y) in zip(q_trace, pairs):
@@ -292,7 +294,8 @@ class TestBcdInner:
             y0 = plain_y_step(dense_simplex_minimizer(spec), spec.k)
             calls[0] = 0
             events.clear()
-            iters = bcd_inner(spec, validate_problem(spec) + 1.0, y0, SolverConfig())[2]
+            fact = build_factorization(spec, validate_problem(spec) + 1.0)
+            iters = bcd_inner(spec, fact, y0, SolverConfig())[2]
             candidates = sum(e[2] for e in events if e[0] == "jump")
             kept = changed = 0
             for (kind, jump, _), (_, S, _) in zip(events, events[1:]):
@@ -304,13 +307,13 @@ class TestBcdInner:
         assert kept_total >= 4 and changed_total >= 1
 
     def test_given_first_x_step_same_result(self):
-        # x0 = x_step(fact, spec, y0) stands in for the first x-step, bit for bit
+        # x0 = x_step(fact, y0) stands in for the first x-step, bit for bit
         for spec in (factor_model_instance(226, 10, seed=1), monthly_returns_instance(100, 10, seed=2)):
             rho = validate_problem(spec) + 1.0
             y0 = y_step(dense_simplex_minimizer(spec), spec.k)
             fact = build_factorization(spec, rho)
-            given = bcd_inner(spec, rho, y0, SolverConfig(), fact=fact, x0=x_step(fact, spec, y0))
-            plain = bcd_inner(spec, rho, y0, SolverConfig())
+            given = bcd_inner(spec, fact, y0, SolverConfig(), x0=x_step(fact, y0))
+            plain = bcd_inner(spec, build_factorization(spec, rho), y0, SolverConfig())
             for a, b in zip(given, plain):
                 np.testing.assert_array_equal(a, b)
 
@@ -319,10 +322,10 @@ class TestBcdInner:
         shift = np.zeros(spec.n)
         shift[:2] = [1e-3, -1e-3]  # stays on the budget hyperplane
         exact_step = pd.x_step
-        monkeypatch.setattr(pd, "x_step", lambda fact, spec, y: exact_step(fact, spec, y) + shift)
+        monkeypatch.setattr(pd, "x_step", lambda fact, y: exact_step(fact, y) + shift)
         y0 = y_step(dense_simplex_minimizer(spec), spec.k)
         with pytest.raises(MeritMismatch):
-            bcd_inner(spec, 10.0, y0, SolverConfig())
+            bcd_inner(spec, build_factorization(spec, 10.0), y0, SolverConfig())
 
 
 def _jump_spec(kind, seed):
@@ -352,23 +355,23 @@ class TestJump:
             seed_support = np.flatnonzero(y_step(dense_simplex_minimizer(spec), spec.k))
             other = np.sort(np.random.default_rng(seed).choice(spec.n, spec.k, replace=False))
             for S in (seed_support, other):
-                x = pd._saddle_point(fact, spec, S)
+                x = pd._saddle_point(fact, S)
                 np.testing.assert_allclose(x, restricted_kkt_solve(spec, r, S), rtol=0, atol=1e-10)
 
     def test_uncached_level_matches_dense_kkt_solve(self):
         # k > n // CACHE_DIVISOR: the level keeps no column cache
         spec = random_psd_instance(n=12, k=8, seed=5)
         fact = build_factorization(spec, validate_problem(spec) + 1.0)
-        assert fact.cols is None
+        assert fact.solve.cols is None
         S = np.arange(0, 12, 2)
-        np.testing.assert_allclose(pd._saddle_point(fact, spec, S),
+        np.testing.assert_allclose(pd._saddle_point(fact, S),
                                    restricted_kkt_solve(spec, fact.rho, S), rtol=0, atol=1e-10)
 
     def test_duplicate_assets_fall_back(self):
         # two identical assets on the support: the restricted problem has a flat face
         spec = ProblemSpec(np.ones((2, 2)), np.array([0.1, 0.1]), tau=1.0, k=2)
         fact = build_factorization(spec, validate_problem(spec) + 1.0)
-        assert pd._saddle_point(fact, spec, np.array([0, 1])) is None
+        assert pd._saddle_point(fact, np.array([0, 1])) is None
 
     def test_duplicate_pair_falls_back_on_random_faces(self):
         # Z'PZ is 1 x 1 here and zero only up to round-off: the singularity
@@ -385,7 +388,7 @@ class TestJump:
             spec = ProblemSpec(0.5 * (A + A.T), mu, tau=10.0 ** rng.uniform(-3.0, 3.0), k=n)
             rho = (validate_problem(spec) + 1.0, 1e4, 1e6)[(case // 2) % 3]
             fact = build_factorization(spec, rho)
-            assert pd._saddle_point(fact, spec, np.array([0, n - 1])) is None, case
+            assert pd._saddle_point(fact, np.array([0, n - 1])) is None, case
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rank_deficient_window_needs_few_iterations(self, seed):
@@ -402,11 +405,11 @@ class TestJump:
         cfg = SolverConfig()
         fact = build_factorization(spec, r)
         y0 = y_step(dense_simplex_minimizer(spec), spec.k)
-        _, y, _, q_trace, converged = bcd_inner(spec, r, y0, cfg, fact=fact)
+        _, y, _, q_trace, converged = bcd_inner(spec, fact, y0, cfg)
         for a, b in zip(q_trace, q_trace[1:]):
             assert b <= a + 1e-9 * (1.0 + abs(b))
         if converged:
-            y_next = y_step(x_step(fact, spec, y), spec.k)
+            y_next = y_step(x_step(fact, y), spec.k)
             # a level that jumped ends on the saddle point; one whose jumps all
             # fell back (singular restricted problem) is a fixed point to eps_inner
             tol = 1e-9 if fact.jumps else cfg.eps_inner
@@ -863,6 +866,36 @@ class TestKktCheck:
             assert cert.max_residual <= 1e-6
 
 
+class TestSupportIndices:
+    """polish_support and kkt_check read a support the same way."""
+
+    @pytest.mark.parametrize("check", ["polish_support", "kkt_check"])
+    @pytest.mark.parametrize("make, bad", [
+        (lambda n: (-1,), "[-1]"),
+        (lambda n: (n,), "[7]"),
+        (lambda n: (0, n), "[7]"),
+        (lambda n: (0, 0, 1), None),
+    ], ids=["minus-one", "n", "zero-and-n", "repeated"])
+    def test_out_of_range_rejected_and_repeat_counted_once(self, check, make, bad):
+        spec = random_psd_instance(n=7, k=3, seed=2)
+        support = make(spec.n)
+        x, f = polish_support(spec, (0, 1))
+        run = ((lambda: polish_support(spec, support)) if check == "polish_support"
+               else (lambda: kkt_check(spec, x, support)))
+        if bad is not None:
+            with pytest.raises(BadSupport, match=re.escape(f"{bad} outside [0, 7)")):
+                run()
+        elif check == "polish_support":
+            x_rep, f_rep = run()
+            np.testing.assert_array_equal(x_rep, x)
+            assert f_rep == f
+        else:
+            cert, ref = run(), kkt_check(spec, x, (0, 1))
+            assert cert.support == ref.support == (0, 1)
+            np.testing.assert_array_equal(cert.lam, ref.lam)
+            assert (cert.beta, cert.max_residual) == (ref.beta, ref.max_residual)
+
+
 class TestCcmvPdSolve:
     def test_toy_matches_oracle(self, toy_spec):
         sol = ccmv_pd_solve(toy_spec)
@@ -946,9 +979,9 @@ class TestCcmvPdSolve:
         calls = []
         step = pd.x_step
 
-        def counting_x_step(fact, spec, y):
+        def counting_x_step(fact, y):
             calls.append(1)
-            return step(fact, spec, y)
+            return step(fact, y)
 
         monkeypatch.setattr(pd, "x_step", counting_x_step)
         specs = ([factor_model_instance(226, 10, seed=seed) for seed in range(3)]
@@ -1036,6 +1069,24 @@ class TestCcmvPdSolve:
         assert abs(sol.objective - f) <= 1e-10 * (1.0 + abs(f))
         assert tuple(r.inner_iters for r in sol.trace) == iters
         assert tuple(r.jumps for r in sol.trace) == jumps
+
+    @pytest.mark.parametrize("make", [
+        lambda: factor_model_instance(226, 10),
+        lambda: monthly_returns_instance(100, 10),  # a safeguard reset on its first level
+    ], ids=["factor", "monthly"])
+    def test_one_debug_event_per_level(self, make, caplog):
+        spec = make()
+        with caplog.at_level(logging.DEBUG, logger="ccmv"):
+            sol = ccmv_pd_solve(spec)
+        pattern = re.compile(r"pd level: rho=(\S+) inner_iters=(\d+) jumps=(\d+) "
+                             r"q=(\S+) infeas=(\S+) note=(.*)")
+        events = [pattern.fullmatch(r.getMessage()) for r in caplog.records
+                  if r.getMessage().startswith("pd level:")]
+        assert len(events) == len(sol.trace) >= 2
+        for event, rec in zip(events, sol.trace):
+            rho, iters, jumps, q, infeas, note = event.groups()
+            assert (float(rho), int(iters), int(jumps), float(q), float(infeas), note) == (
+                rec.rho, rec.inner_iters, rec.jumps, rec.q, rec.infeas, rec.note)
 
     def test_deterministic(self):
         spec = random_psd_instance(n=9, k=3, seed=13)
