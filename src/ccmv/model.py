@@ -56,15 +56,6 @@ EIGVALSH_MAX_N = 140
 # rank. The sandwich's n = 10, m = 5 stays dense.
 FACTOR_RANK_RATIO = 4
 
-# A dense A's penalty level caches at most n // CACHE_DIVISOR columns of
-# (A + rho I)^{-1}. By backsolves they cost at most 2n^3 / CACHE_DIVISOR flops,
-# 1.5 times the level's Cholesky (n^3 / 3), and the cache holds at most
-# n^2 / CACHE_DIVISOR floats. A level whose k-sparse support cannot fit
-# (k > n // CACHE_DIVISOR) keeps no cache: each sparse solve is then one full
-# solve, at most CACHE_DIVISOR times the cached product.
-CACHE_DIVISOR = 4
-
-
 def _read_only(values) -> np.ndarray:
     """values as a read-only float64 array.
 
@@ -151,21 +142,9 @@ class DenseCovariance:
     def lambda_max(self) -> float:
         return max_eigenvalue(self.A)
 
-    def shifted_solver(self, rho: float, k: int | None = None) -> CholeskyLevel:
-        """The solves with A + rho*I of one penalty level, by Cholesky: a CholeskyLevel.
-
-        k is the largest support that its sparse and coupling are asked about;
-        the level caches columns of (A + rho*I)^{-1} only when k <= n //
-        CACHE_DIVISOR.
-        """
-        return CholeskyLevel(self.A, rho, k is not None and k <= self.n // CACHE_DIVISOR)
-
-
-def _unit_rows(n: int, idx: np.ndarray) -> np.ndarray:
-    """Rows e_i' of the identity for the indices i in idx."""
-    E = np.zeros((idx.size, n))
-    E[np.arange(idx.size), idx] = 1.0
-    return E
+    def shifted_solver(self, rho: float) -> CholeskyLevel:
+        """The solves with A + rho*I of one penalty level, by Cholesky: a CholeskyLevel."""
+        return CholeskyLevel(self.A, rho)
 
 
 class CholeskyLevel:
@@ -174,16 +153,12 @@ class CholeskyLevel:
     One LAPACK potrf of A + rho*I (n^3 / 3 flops), then potrs backsolves,
     O(n^2) per row. ProblemSpec checked A once, so no call repeats scipy's
     per-call checks, which cost several times the backsolve itself at small n.
-
-    With a cache, the columns (A + rho I)^{-1} e_i are solved on the first
-    call that needs them (the missing ones of a call in one batched solve)
-    and kept for the level, so sparse costs O(n*|S|) once its columns are
-    in. The cache holds at most n // CACHE_DIVISOR columns; cols is None on
-    a level that keeps none. Where the columns of S are not cached, sparse
-    is one full backsolve and coupling solves the columns of S.
+    The level holds its factor and A, and nothing that depends on what it was
+    asked before: sparse is one full backsolve, and coupling solves the
+    columns of S.
     """
 
-    def __init__(self, A: np.ndarray, rho: float, cache: bool):
+    def __init__(self, A: np.ndarray, rho: float):
         n = A.shape[0]
         M = A.copy()
         M.flat[:: n + 1] += rho
@@ -191,8 +166,6 @@ class CholeskyLevel:
         if info:  # pragma: no cover - A is PSD and rho > 0
             raise NumericalBreakdown(f"Cholesky of A + {rho}*I failed")
         self.A = A
-        self.cols = np.empty((0, n)) if cache else None  # row j: the column i with slot[i] == j
-        self.slot = np.full(n, -1)  # row of column i in cols, -1 if not cached
 
     def solve(self, B: np.ndarray) -> np.ndarray:
         """B (A + rho I)^{-1}, row by row."""
@@ -200,37 +173,17 @@ class CholeskyLevel:
 
     __call__ = solve
 
-    def _columns(self, S: np.ndarray) -> np.ndarray | None:
-        """Rows (A + rho I)^{-1} e_i for i in S, or None without a cache or when they do not fit."""
-        if self.cols is None:
-            return None
-        missing = S[self.slot[S] < 0]
-        if missing.size:
-            n, m = self.slot.size, self.cols.shape[0]
-            if m + missing.size > n // CACHE_DIVISOR:
-                return None
-            self.cols = np.vstack([self.cols, self.solve(_unit_rows(n, missing))])
-            self.slot[missing] = np.arange(m, m + missing.size)
-        return self.cols[self.slot[S]]
-
     def sparse(self, S: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """(A + rho I)^{-1} b for the b that is v on S and zero off it.
-
-        O(n*|S|) from the cached columns, else one full O(n^2) backsolve.
-        """
-        W = self._columns(S)
-        if W is not None:
-            return v @ W
-        b = np.zeros(self.slot.size)
+        """(A + rho I)^{-1} b for the b that is v on S and zero off it: one O(n^2) backsolve."""
+        b = np.zeros(self.A.shape[0])
         b[S] = v
         return self.solve(b[None])[0]
 
     def coupling(self, S: np.ndarray) -> np.ndarray:
-        """[A (A + rho I)^{-1}]_SS, |S| x |S|: A[S] times the columns of S, O(n*|S|^2)."""
-        W = self._columns(S)
-        if W is None:
-            W = self.solve(_unit_rows(self.slot.size, S))
-        return self.A[S] @ W.T
+        """[A (A + rho I)^{-1}]_SS, |S| x |S|: A[S] times the solved columns of S, O(n^2*|S|)."""
+        E = np.zeros((S.size, self.A.shape[0]))
+        E[np.arange(S.size), S] = 1.0
+        return self.A[S] @ self.solve(E).T
 
 
 class FactorCovariance:
@@ -307,12 +260,11 @@ class FactorCovariance:
             return float(np.linalg.eigvalsh(gram)[-1] + self.d[0])
         return max_eigenvalue(self)
 
-    def shifted_solver(self, rho: float, k: int | None = None) -> WoodburyLevel:
+    def shifted_solver(self, rho: float) -> WoodburyLevel:
         """The solves with A + rho*I of one penalty level, by Woodbury: a WoodburyLevel.
 
         For a constant d its capacitance comes from the operator's one G'G,
-        O(m^2) per rho; a varying d forms it by an O(n*m^2) product. k, the
-        largest support asked about, is not needed: the level keeps no cache.
+        O(m^2) per rho; a varying d forms it by an O(n*m^2) product.
         """
         shift = self.d + rho
         if not shift.min() > 0.0:

@@ -20,14 +20,15 @@ lambda_max + 1 or above, so A + rho*I has condition number at most
 and vectors that are zero off the support, and the block
 [A (A + rho*I)^{-1}]_SS of the support, and takes them from the spec's
 operator (spec.cov.shifted_solver): a dense A is factored by Cholesky once
-per level and caches the support's columns of the inverse; a covariance in
+per level, and each sparse solve is one backsolve; a covariance in
 factor form, A = G G' + diag(d) with G n x m and m small beside n
 (model.FACTOR_RANK_RATIO), is never formed: every level solves by Woodbury
 from one m x m Cholesky (of a capacitance taken, for a constant d, from the
 one G'G that also gave lambda_max), a k-sparse solve costs O(n*m) and the
-support's block O(k*m^2), and no column is cached. A level is prepared
-only when it runs; its first x-step, taken for upsilon or for the
-safeguard's probe, is also the descent's first and is not repeated.
+support's block O(k*m^2). A level keeps no state from one solve to the
+next. It is prepared only when it runs; its first x-step, taken for upsilon
+or for the safeguard's probe, is also the descent's first and is not
+repeated.
 The discovered support and the seed's support (once, when they are the
 same) are then polished by the same finite primal active-set solve of the
 convex QP restricted to a support (exact for any support size), which keeps
@@ -56,6 +57,7 @@ from .model import (
     STATUS_CONVERGED,
     STATUS_MAX_ITERATIONS,
     WoodburyLevel,
+    _check_dim,
     make_feasible_point,
     max_eigenvalue,  # unused here; benchmark/run.py traces it as pd.max_eigenvalue
     objective_f,
@@ -102,7 +104,7 @@ DUAL_MIN_RELEASABLE = 128
 class PenaltyFactorization:
     """The solves with (A + rho*I) that the x-steps and jumps of one penalty level reuse.
 
-    solve is the level's solver, spec.cov.shifted_solver(rho, k): a
+    solve is the level's solver, spec.cov.shifted_solver(rho): a
     model.CholeskyLevel or model.WoodburyLevel, with solve(B), the row solve
     B -> B (A + rho I)^{-1}; solve.sparse(S, v), (A + rho I)^{-1} applied to
     a vector that is v on S and zero off it; and solve.coupling(S), the
@@ -112,7 +114,7 @@ class PenaltyFactorization:
     """
 
     rho: float
-    solve: CholeskyLevel | WoodburyLevel  # spec.cov.shifted_solver(rho, k)
+    solve: CholeskyLevel | WoodburyLevel  # spec.cov.shifted_solver(rho)
     s: np.ndarray      # (A + rho I)^{-1} e
     t: np.ndarray      # (A + rho I)^{-1} (tau * mu)
     ets: float         # e's
@@ -121,17 +123,16 @@ class PenaltyFactorization:
 
 
 def build_factorization(spec: ProblemSpec, rho: float) -> PenaltyFactorization:
-    """The solves of one penalty level: spec.cov.shifted_solver(rho, spec.k), s and t.
+    """The solves of one penalty level: spec.cov.shifted_solver(rho), s and t.
 
-    A dense A is factored once, n^3 / 3 flops, and caches the columns of
-    supports of up to spec.k indices when they fit (model.CACHE_DIVISOR); a
-    factor form costs an m x m Cholesky of its capacitance, formed in O(m^2)
-    from the operator's one G'G for a constant d and by an O(n*m^2) product
-    otherwise, with no n x n array. s and t come from one solve of the rows
-    e and tau*mu.
+    A dense A is factored once, n^3 / 3 flops; a factor form costs an m x m
+    Cholesky of its capacitance, formed in O(m^2) from the operator's one G'G
+    for a constant d and by an O(n*m^2) product otherwise, with no n x n
+    array. Neither changes as it is used. s and t come from one solve of the
+    rows e and tau*mu.
     """
     rho = float(rho)
-    solve = spec.cov.shifted_solver(rho, spec.k)
+    solve = spec.cov.shifted_solver(rho)
     s, t = solve(np.vstack((np.ones(spec.n), spec.tau * spec.mu)))
     ets = float(s.sum())
     if ets <= 0:  # pragma: no cover - impossible for SPD matrices
@@ -143,9 +144,8 @@ def x_step(fact: PenaltyFactorization, y: np.ndarray) -> np.ndarray:
     """Unique minimizer of q_rho(., y) over {e'x = 1}, in closed form, for the level fact.
 
     u = (A + rho I)^{-1}(tau*mu + 2*rho*y) is t plus one sparse solve of
-    2*rho*y on y's support S: O(|S|*m + n*m) in factor form; for a dense A,
-    O(n*|S|) from the cached columns, or one full O(n^2) backsolve on a level
-    without a cache or for a y whose support does not fit it (a dense y).
+    2*rho*y on y's support S: O(|S|*m + n*m) in factor form, one O(n^2)
+    backsolve for a dense A.
     """
     y = np.asarray(y, dtype=float)
     S = np.flatnonzero(y)
@@ -509,7 +509,15 @@ def _active_set(spec: ProblemSpec, idx: np.ndarray, start=None) -> tuple[np.ndar
 
 
 def _support_indices(spec: ProblemSpec, support) -> np.ndarray:
-    """A support's sorted distinct indices; BadSupport if it is empty or names one outside [0, n)."""
+    """A support's sorted distinct indices.
+
+    BadSupport if it is empty, or names an index that is not an integer or
+    lies outside [0, n). An integral float such as 1.0 names asset 1.
+    """
+    support = list(support)
+    frac = [float(i) for i in support if not float(i).is_integer()]
+    if frac:
+        raise BadSupport(f"support indices {frac} not integers")
     idx = np.array(sorted({int(i) for i in support}), dtype=np.intp)
     if not idx.size:
         raise BadSupport("empty support")
@@ -524,23 +532,23 @@ def polish_support(spec: ProblemSpec, support, x0: np.ndarray | None = None) -> 
 
     Returns (x, f(x)) for the global minimizer x of the convex QP
     min x'Ax - tau*mu'x over {e'x = 1, x >= 0, x_i = 0 off the support} (an
-    index listed twice counts once, one outside [0, n) is BadSupport), found
-    by the finite active-set kernel _active_set. On its free set F, a step
-    costs O(|S|*|F| + |F|^2) from a Cholesky factor updated as an index
-    enters, and a drop O(|F|^3) more, for any support size |S|. f(x) is one
-    objective_f, a product with A.
+    index listed twice counts once, one that is not an integer or lies
+    outside [0, n) is BadSupport), found by the finite active-set kernel
+    _active_set. On its free set F, a step costs O(|S|*|F| + |F|^2) from a
+    Cholesky factor updated as an index enters, and a drop O(|F|^3) more, for
+    any support size |S|. f(x) is one objective_f, a product with A.
 
-    x0, a length-n point such as the iterate whose support is polished,
-    starts the kernel warm: its positive entries on the support, rescaled to
-    sum 1, are the start's free set and point. With fewer than two of them it
-    is ignored, since the cold kernel starts at a vertex anyway. The minimum
-    is the same from any start; only round-off and, where it is not unique,
-    the minimizer may differ.
+    x0, a length-n point (BadDimension otherwise) such as the iterate whose
+    support is polished, starts the kernel warm: its positive entries on the
+    support, rescaled to sum 1, are the start's free set and point. With
+    fewer than two of them it is ignored, since the cold kernel starts at a
+    vertex anyway. The minimum is the same from any start; only round-off
+    and, where it is not unique, the minimizer may differ.
     """
     idx = _support_indices(spec, support)
     start = None
     if x0 is not None:
-        z0 = np.maximum(np.asarray(x0, dtype=float)[idx], 0.0)
+        z0 = np.maximum(_check_dim(spec, x0, "x0")[idx], 0.0)
         F0 = np.flatnonzero(z0)
         if F0.size >= 2:
             start = (F0, z0 / z0.sum())
@@ -552,13 +560,14 @@ def kkt_check(spec: ProblemSpec, x: np.ndarray, support) -> KktCertificate:
     """Certificate of the first-order system on a given support.
 
     The support is read as polish_support reads it (an index listed twice
-    counts once; BadSupport for an index outside [0, n)). The multiplier that
-    is free off-support is eliminated analytically; beta is fit over the
+    counts once; BadSupport for one that is not an integer or lies outside
+    [0, n)), and an x whose length is not n is BadDimension. The multiplier
+    that is free off-support is eliminated analytically; beta is fit over the
     strictly positive coordinates, and the nonnegativity multipliers are read
     off the remaining support coordinates.
     """
     idx = _support_indices(spec, support)
-    x = np.asarray(x, dtype=float)
+    x = _check_dim(spec, x, "x")
     g = 2.0 * spec.cov.matvec(x) - spec.tau * spec.mu
     pos = idx[x[idx] > ACTIVE_TOL]
     if pos.size:

@@ -135,31 +135,27 @@ class TestOperatorParity:
             cov.shifted_solver(rho)
         assert Products.grams == 4 and cov._gram is None
 
-    @pytest.mark.parametrize("kind", ["d=c", "d-varying", "d=0", "dense-cached", "dense-uncached"])
+    @pytest.mark.parametrize("kind", ["d=c", "d-varying", "d=0", "dense-226", "dense-12"])
     @pytest.mark.parametrize("rho", ["floor", 1e4, 1e6])
     def test_sparse_solve_and_coupling_block(self, kind, rho):
         # the k-sparse operations of a level against solves with the formed A:
-        # Woodbury levels, and Cholesky levels with and without a column cache
+        # Woodbury levels, and Cholesky levels with k small beside n and close to it
         if kind == "d-varying":
             base = factor_model_instance(476, 10, seed=0)
             d = base.d * np.random.default_rng(1).uniform(0.5, 2.0, base.n)
             spec = ProblemSpec(G=base.G, d=d, mu=base.mu, tau=base.tau, k=base.k)
         elif kind == "d=0":  # a wide returns window: 60 periods of 1000 assets
             spec = monthly_returns_instance(1000, 10, seed=0)
-        elif kind == "dense-cached":  # k <= n // CACHE_DIVISOR
+        elif kind == "dense-226":
             spec = dense(factor_model_instance(226, 10))
-        elif kind == "dense-uncached":  # k > n // CACHE_DIVISOR
+        elif kind == "dense-12":
             spec = random_psd_instance(12, 8)
         else:
             spec = factor_model_instance(476, 10, seed=0)
-        if kind.startswith("dense"):
-            cols = spec.cov.shifted_solver(1.0, spec.k).cols
-            assert not spec.cov.factored and (cols is None) == (kind == "dense-uncached")
-        else:  # a Woodbury level keeps no column cache
-            assert spec.cov.factored and not hasattr(spec.cov.shifted_solver(1.0), "cols")
+        assert spec.cov.factored != kind.startswith("dense")
         r = validate_problem(spec) + 1.0 if rho == "floor" else rho
         A, n = spec.A, spec.n
-        level = spec.cov.shifted_solver(r, spec.k)
+        level = spec.cov.shifted_solver(r)
         rng = np.random.default_rng(7)
         for size in (1, spec.k):
             S = np.sort(rng.choice(n, size, replace=False))

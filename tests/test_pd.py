@@ -24,7 +24,7 @@ from ccmv import (
     y_step,
 )
 from ccmv import pd
-from ccmv.errors import BadSupport, MeritMismatch, NumericalBreakdown
+from ccmv.errors import BadDimension, BadSupport, MeritMismatch, NumericalBreakdown
 from ccmv.model import validate_problem
 from ccmv.padm import _project_simplex
 from ccmv.pd import dense_simplex_minimizer
@@ -127,7 +127,7 @@ class TestXStep:
 
     @pytest.mark.parametrize("big_rho", [False, True])
     def test_cached_columns_match_dense_kkt_solve(self, big_rho):
-        # a dense A caches columns; 25 of them fit under n // CACHE_DIVISOR = 56
+        # one dense level asked about overlapping, disjoint, repeated, empty and dense supports
         spec = dense(factor_model_instance(226, 10, seed=0))
         rho = 1e4 if big_rho else validate_problem(spec) + 1.0
         rng = np.random.default_rng(47)
@@ -138,23 +138,21 @@ class TestXStep:
             return y
 
         first = sparse_y(range(10))
-        # (y, cached columns after the call): misses on first use, hits after
         sequence = [
-            (first, 10),
-            (sparse_y(range(5, 15)), 15),        # overlaps the cached support
-            (sparse_y(range(100, 110)), 25),     # disjoint from it
-            (first, 25),                         # repeated support
-            (sparse_y(range(10)), 25),           # same support, new values
-            (np.zeros(spec.n), 25),              # y = 0
-            (rng.uniform(size=spec.n), 25),      # dense: one full backsolve
+            first,
+            sparse_y(range(5, 15)),        # overlaps the first support
+            sparse_y(range(100, 110)),     # disjoint from both
+            first,                         # repeated support
+            sparse_y(range(10)),           # same support, new values
+            np.zeros(spec.n),              # y = 0
+            rng.uniform(size=spec.n),      # dense
         ]
         fact = build_factorization(spec, rho)
-        for y, cached in sequence:
+        for y in sequence:
             x = x_step(fact, y)
-            assert fact.solve.cols.shape[0] == cached
             np.testing.assert_allclose(x, kkt_linear_solve(spec, rho, y), rtol=0, atol=1e-10)
-            fresh = x_step(build_factorization(spec, rho), y)
-            np.testing.assert_allclose(x, fresh, rtol=0, atol=1e-15)
+            # a level keeps no state: a used level gives a fresh level's bits
+            assert np.array_equal(x, x_step(build_factorization(spec, rho), y))
 
 
 class TestYStep:
@@ -359,10 +357,9 @@ class TestJump:
                 np.testing.assert_allclose(x, restricted_kkt_solve(spec, r, S), rtol=0, atol=1e-10)
 
     def test_uncached_level_matches_dense_kkt_solve(self):
-        # k > n // CACHE_DIVISOR: the level keeps no column cache
+        # a dense level with k close to n
         spec = random_psd_instance(n=12, k=8, seed=5)
         fact = build_factorization(spec, validate_problem(spec) + 1.0)
-        assert fact.solve.cols is None
         S = np.arange(0, 12, 2)
         np.testing.assert_allclose(pd._saddle_point(fact, S),
                                    restricted_kkt_solve(spec, fact.rho, S), rtol=0, atol=1e-10)
@@ -871,11 +868,13 @@ class TestSupportIndices:
 
     @pytest.mark.parametrize("check", ["polish_support", "kkt_check"])
     @pytest.mark.parametrize("make, bad", [
-        (lambda n: (-1,), "[-1]"),
-        (lambda n: (n,), "[7]"),
-        (lambda n: (0, n), "[7]"),
+        (lambda n: (-1,), "[-1] outside [0, 7)"),
+        (lambda n: (n,), "[7] outside [0, 7)"),
+        (lambda n: (0, n), "[7] outside [0, 7)"),
         (lambda n: (0, 0, 1), None),
-    ], ids=["minus-one", "n", "zero-and-n", "repeated"])
+        (lambda n: (0.5, 1), "[0.5] not integers"),
+        (lambda n: (np.int64(0), 1.0), None),
+    ], ids=["minus-one", "n", "zero-and-n", "repeated", "half", "numpy-int-and-integral-float"])
     def test_out_of_range_rejected_and_repeat_counted_once(self, check, make, bad):
         spec = random_psd_instance(n=7, k=3, seed=2)
         support = make(spec.n)
@@ -883,7 +882,7 @@ class TestSupportIndices:
         run = ((lambda: polish_support(spec, support)) if check == "polish_support"
                else (lambda: kkt_check(spec, x, support)))
         if bad is not None:
-            with pytest.raises(BadSupport, match=re.escape(f"{bad} outside [0, 7)")):
+            with pytest.raises(BadSupport, match=re.escape(bad)):
                 run()
         elif check == "polish_support":
             x_rep, f_rep = run()
@@ -894,6 +893,14 @@ class TestSupportIndices:
             assert cert.support == ref.support == (0, 1)
             np.testing.assert_array_equal(cert.lam, ref.lam)
             assert (cert.beta, cert.max_residual) == (ref.beta, ref.max_residual)
+
+    @pytest.mark.parametrize("support", [(0, 1), (0, 6)])
+    def test_point_of_wrong_length_is_bad_dimension(self, support):
+        spec = random_psd_instance(n=7, k=3, seed=2)
+        with pytest.raises(BadDimension, match="x0 has length 5, expected 7"):
+            polish_support(spec, support, np.ones(5))
+        with pytest.raises(BadDimension, match="x has length 5, expected 7"):
+            kkt_check(spec, np.ones(5) / 5, support)
 
 
 class TestCcmvPdSolve:
