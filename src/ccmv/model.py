@@ -107,9 +107,10 @@ def dense_covariance(G: np.ndarray, d: np.ndarray) -> np.ndarray:
 class DenseCovariance:
     """A covariance held as the n x n matrix A; the solvers read it only through these methods.
 
-    Each method is the plain dense expression. G and d are kept, None for a
-    dense input, when A was formed from a factor form whose rank is not small
-    beside n (FACTOR_RANK_RATIO).
+    Each method is the plain dense expression. Its lambda_max is
+    validate_problem's, from eigvalsh or Lanczos on A. G and d are kept, None
+    for a dense input, when A was formed from a factor form whose rank is not
+    small beside n (FACTOR_RANK_RATIO).
     """
 
     factored = False
@@ -122,14 +123,11 @@ class DenseCovariance:
         """A_ii for i in idx."""
         return self.A[idx, idx]
 
-    def rows(self, S: np.ndarray) -> np.ndarray:
-        """Rows A[S], |S| x n."""
-        return self.A[S]
-
     def row_reader(self, idx: np.ndarray):
-        """The map j -> A[idx[j], idx], for many rows read on one index set of distinct indices."""
+        """The map J -> A[idx[J]][:, idx], |J| x |idx|, for the rows read on one index set of distinct indices."""
         A = self.A
-        return lambda j: A[idx[j], idx]
+        # column-major, as FactorCovariance's block is: the kernel's starting rows have one layout
+        return lambda J: np.asfortranarray(A.take(idx[J], axis=0).take(idx, axis=1))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A x."""
@@ -138,9 +136,6 @@ class DenseCovariance:
     def quad(self, x: np.ndarray) -> float:
         """x'Ax."""
         return x @ (self.A @ x)
-
-    def lambda_max(self) -> float:
-        return max_eigenvalue(self.A)
 
     def shifted_solver(self, rho: float) -> CholeskyLevel:
         """The solves with A + rho*I of one penalty level, by Cholesky: a CholeskyLevel."""
@@ -171,8 +166,6 @@ class CholeskyLevel:
         """B (A + rho I)^{-1}, row by row."""
         return dpotrs(self.L, B.T, lower=1)[0].T
 
-    __call__ = solve
-
     def sparse(self, S: np.ndarray, v: np.ndarray) -> np.ndarray:
         """(A + rho I)^{-1} b for the b that is v on S and zero off it: one O(n^2) backsolve."""
         b = np.zeros(self.A.shape[0])
@@ -189,14 +182,16 @@ class CholeskyLevel:
 class FactorCovariance:
     """A = G G' + diag(d) (G n x m, d >= 0), read through its factors without forming A.
 
-    Same methods as DenseCovariance: a product or a quadratic form costs
-    O(n*m), rows on an index set O(n*m) each, and shifted_solver gives solves
+    Same methods as DenseCovariance, and lambda_max, which validate_problem
+    calls: a product or a quadratic form costs O(n*m), a row of a reader on
+    idx O(|idx|*m) after one gather of G[idx], and shifted_solver gives solves
     with A + rho*I by Woodbury (a WoodburyLevel). A, for callers outside the
     solvers, is formed on first read and kept. When d is constant, the m x m
     Gram matrix G'G is formed on the first call of lambda_max or
-    shifted_solver, never at construction, and kept: it gives lambda_max and every penalty level's
-    capacitance, so an operator pays its O(n*m^2) product once, also across
-    the specs that dataclasses.replace(spec, k=...) builds on it.
+    shifted_solver, never at construction, and kept: it gives lambda_max and
+    every penalty level's capacitance, so an operator pays its O(n*m^2)
+    product once, also across the specs that dataclasses.replace(spec, k=...)
+    builds on it.
     """
 
     factored = True
@@ -217,22 +212,18 @@ class FactorCovariance:
     def diag(self, idx: np.ndarray) -> np.ndarray:
         return self._diag[idx]
 
-    def rows(self, S: np.ndarray) -> np.ndarray:
-        R = self.G[S] @ self.G.T
-        R[np.arange(S.size), S] += self.d[S]
-        return R
-
     def row_reader(self, idx: np.ndarray):
-        # gathered once; the dense seed reads every row, in order, from G itself
+        # G[idx] is gathered once per reader; the dense seed's reader uses G itself
         whole = np.array_equal(idx, np.arange(self.n))
         Gi, di = (self.G, self.d) if whole else (self.G[idx], self.d[idx])
 
-        def row(j):
-            r = Gi @ Gi[j]
-            r[j] += di[j]
-            return r
+        def rows(J):
+            R = (Gi @ Gi[J].T).T  # columns J of the symmetric A_idx, transposed
+            for r, j in enumerate(J.tolist()):  # scalar adds: a fancy index costs more for a few rows
+                R[r, j] += di[j]
+            return R
 
-        return row
+        return rows
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         return self.G @ (x @ self.G) + self.d * x
@@ -303,8 +294,6 @@ class WoodburyLevel:
         G, inv = self.G, self.inv
         Z = dpotrs(self.L, ((B * inv) @ G).T, lower=1)[0].T
         return (B - Z @ G.T) * inv
-
-    __call__ = solve
 
     def sparse(self, S: np.ndarray, v: np.ndarray) -> np.ndarray:
         """(A + rho I)^{-1} b for the b that is v on S and zero off it."""

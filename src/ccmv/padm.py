@@ -50,21 +50,20 @@ def padm_x_step(
     spec: ProblemSpec,
     rho: float,
     y: np.ndarray,
+    lam_max: float,
     tol: float = 1e-8,
     x0: np.ndarray | None = None,
-    lam_max: float | None = None,
 ) -> np.ndarray:
     """Approximate minimizer of f(x) + rho*||x - y||_1 over the simplex.
 
     Three-operator splitting: gradient step on the quadratic, shrinkage toward
     y for the l1 term, Euclidean simplex projection for feasibility. Step size
-    1/(2*lambda_max(A) + 2*rho); deterministic given x0.
+    1/(2*lam_max + 2*rho), with lam_max = lambda_max(A) as validate_problem
+    returns it; deterministic given x0.
     """
     y = np.asarray(y, dtype=float)
     n = spec.n
     matvec = spec.cov.matvec
-    if lam_max is None:
-        lam_max = spec.cov.lambda_max()
     max_iter = max(10 * n, 500)
     gamma = 1.0 / (2.0 * lam_max + 2.0 * rho)
     z = np.full(n, 1.0 / n) if x0 is None else np.asarray(x0, dtype=float).copy()
@@ -137,7 +136,7 @@ def ccmv_padm_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solut
     for _ in range(cfg.max_outer):
         inner_iters = 0
         for _ in range(cfg.max_inner):
-            x_new = padm_x_step(spec, rho, y, tol=1e-10, x0=x, lam_max=lam_max)
+            x_new = padm_x_step(spec, rho, y, lam_max, tol=1e-10, x0=x)
             y_new = padm_y_step(x_new, spec.k)
             inner_iters += 1
             delta = max(relative_change(x_new, x), relative_change(y_new, y))

@@ -34,7 +34,9 @@ same) are then polished by the same finite primal active-set solve of the
 convex QP restricted to a support (exact for any support size), which keeps
 a Cholesky factor of its reduced Hessian and extends it by one row as an
 index enters; the final support's polish starts from the last y, the
-seed's cold. The better result is returned with a KKT certificate.
+seed's cold. The kernel reads rows through spec.cov.row_reader and sets up
+every start, a given one or the best single-asset vertex, by the same code.
+The better result is returned with a KKT certificate.
 """
 
 from __future__ import annotations
@@ -104,17 +106,17 @@ DUAL_MIN_RELEASABLE = 128
 class PenaltyFactorization:
     """The solves with (A + rho*I) that the x-steps and jumps of one penalty level reuse.
 
-    solve is the level's solver, spec.cov.shifted_solver(rho): a
+    level is the level's solver, spec.cov.shifted_solver(rho): a
     model.CholeskyLevel or model.WoodburyLevel, with solve(B), the row solve
-    B -> B (A + rho I)^{-1}; solve.sparse(S, v), (A + rho I)^{-1} applied to
-    a vector that is v on S and zero off it; and solve.coupling(S), the
+    B -> B (A + rho I)^{-1}; sparse(S, v), (A + rho I)^{-1} applied to a
+    vector that is v on S and zero off it; and coupling(S), the
     block [A (A + rho I)^{-1}]_SS. s and t are the two full solves every
     step reuses. A level carries its own rho: bcd_inner, x_step and
     _saddle_point take the level alone.
     """
 
     rho: float
-    solve: CholeskyLevel | WoodburyLevel  # spec.cov.shifted_solver(rho)
+    level: CholeskyLevel | WoodburyLevel  # spec.cov.shifted_solver(rho)
     s: np.ndarray      # (A + rho I)^{-1} e
     t: np.ndarray      # (A + rho I)^{-1} (tau * mu)
     ets: float         # e's
@@ -132,12 +134,12 @@ def build_factorization(spec: ProblemSpec, rho: float) -> PenaltyFactorization:
     rows e and tau*mu.
     """
     rho = float(rho)
-    solve = spec.cov.shifted_solver(rho)
-    s, t = solve(np.vstack((np.ones(spec.n), spec.tau * spec.mu)))
+    level = spec.cov.shifted_solver(rho)
+    s, t = level.solve(np.vstack((np.ones(spec.n), spec.tau * spec.mu)))
     ets = float(s.sum())
     if ets <= 0:  # pragma: no cover - impossible for SPD matrices
         raise NumericalBreakdown("e'(A+rho I)^{-1}e is not positive")
-    return PenaltyFactorization(rho=rho, solve=solve, s=s, t=t, ets=ets, ett=float(t.sum()))
+    return PenaltyFactorization(rho=rho, level=level, s=s, t=t, ets=ets, ett=float(t.sum()))
 
 
 def x_step(fact: PenaltyFactorization, y: np.ndarray) -> np.ndarray:
@@ -149,7 +151,7 @@ def x_step(fact: PenaltyFactorization, y: np.ndarray) -> np.ndarray:
     """
     y = np.asarray(y, dtype=float)
     S = np.flatnonzero(y)
-    u = fact.t + fact.solve.sparse(S, 2.0 * fact.rho * y[S])
+    u = fact.t + fact.level.sparse(S, 2.0 * fact.rho * y[S])
     beta_term = (1.0 - 0.5 * float(u.sum())) / (0.5 * fact.ets)
     x = 0.5 * (u + beta_term * fact.s)
     # pin e'x = 1 against round-off
@@ -215,7 +217,7 @@ def _saddle_point(fact: PenaltyFactorization, S: np.ndarray) -> np.ndarray | Non
     entry (duplicate assets, a flat face of A_SS), gives None.
     """
     rho = fact.rho
-    P = rho * fact.solve.coupling(S)
+    P = rho * fact.level.coupling(S)
     P = 0.5 * (P + P.T)
     u = rho * fact.s[S]
     r1 = 0.5 * rho * fact.t[S]
@@ -241,7 +243,7 @@ def _saddle_point(fact: PenaltyFactorization, S: np.ndarray) -> np.ndarray | Non
     alpha = (-fact.ets * b1 - nu * r2) / det
     beta = (a11 * r2 - nu * b1) / det
     xS = Q @ np.concatenate(([alpha], v0 - v1 * alpha))
-    x = 0.5 * fact.t - beta * fact.s + rho * fact.solve.sparse(S, xS)
+    x = 0.5 * fact.t - beta * fact.s + rho * fact.level.sparse(S, xS)
     x += (1.0 - x.sum()) / x.size
     return x
 
@@ -363,13 +365,15 @@ def _curvature_tol(h: np.ndarray) -> float:
 
 
 def _starting_face(H: np.ndarray, F: np.ndarray, nf: int, curv_tol: float) -> tuple[np.ndarray, bool]:
-    """(L, usable) for a warm start's face: _face_factor's L, and whether the kernel may start there.
+    """(L, usable) for a starting face: _face_factor's L, and whether the kernel may start there.
 
     A face whose factorization fails, or has a pivot at round-off (duplicate
-    assets), is not used.
+    assets), is not used. A vertex's face, one asset, always is.
     """
+    if nf == 1:  # a vertex: M is the identity
+        return np.ones((1, 1)), True
     L, info = _face_factor(H, F, nf)
-    return L, not info and (nf == 1 or np.diag(L)[1:].min() ** 2 > nf * curv_tol)
+    return L, not info and np.diag(L)[1:].min() ** 2 > nf * curv_tol
 
 
 def _face_factor(H: np.ndarray, F: np.ndarray, nf: int) -> tuple[np.ndarray, int]:
@@ -388,27 +392,30 @@ def _active_set(spec: ProblemSpec, idx: np.ndarray, start=None) -> tuple[np.ndar
     """Minimizer of f over {e'x = 1, x >= 0, x_i = 0 off idx}: (x, steps, warm).
 
     x is a length-n vector, steps the kernel's steps, and warm tells whether
-    it ran from start.
+    it ran from the given start.
 
     Primal active-set method (Lawson & Hanson, Solving Least Squares Problems,
     1974, ch. 23) for min z'H z/2 - c'z with H = 2*A_idx and c = tau*mu_idx.
-    Starts at the best single-asset vertex (ties: lowest index) and keeps a
-    free set F. Each step minimizes over the face {z_i = 0 off F}: a step
-    blocked by a bound moves to it and drops that coordinate; at a face
-    minimizer, the zero coordinate with the most negative multiplier
-    g_i + beta is released. It stops when none is negative, which is the KKT
-    system of this convex problem, so the result is its global minimum. A face
-    with a zero-curvature direction (duplicate assets, rank-deficient A_idx)
-    is crossed along it to the first blocking bound.
+    It keeps a free set F and a feasible z that is zero off F. Each step
+    minimizes over the face {z_i = 0 off F}: a step blocked by a bound moves
+    to it and drops that coordinate; at a face minimizer, the zero coordinate
+    with the most negative multiplier g_i + beta is released. It stops when
+    none is negative, which is the KKT system of this convex problem, so the
+    result is its global minimum. A face with a zero-curvature direction
+    (duplicate assets, rank-deficient A_idx) is crossed along it to the first
+    blocking bound.
 
-    start = (F0, z0), if given, is a warm start: F0 distinct positions in idx
-    and z0, of length |idx|, a point of the simplex that is zero off F0. The
-    kernel reads the rows of F0 in one spec.cov.rows product, factors the
-    face once and takes its first step towards the face minimizer from z0.
-    A primal active-set method may start from any feasible point and any
-    free set that holds its support, so the result is the same global
-    minimum. A starting face whose factorization fails, or has a pivot at
-    round-off (duplicate assets), is not used: the kernel starts cold.
+    start = (F0, z0) is the starting free set and point: F0 distinct
+    positions in idx and z0, of length |idx|, a point of the simplex that is
+    zero off F0. A primal active-set method may start from any feasible point
+    and any free set that holds its support, so the result is the same global
+    minimum. The kernel reads the rows of F0 in one call of the operator's
+    row_reader, factors the face once and, unless F0 is a single asset (a
+    vertex is its face's minimizer), first steps towards the face minimizer
+    from z0. No start, or a starting face whose factorization fails or has a
+    pivot at round-off (duplicate assets), is the cold start ([j], e_j) at
+    the best single-asset vertex j (ties: lowest index), set up by the same
+    code.
 
     A face is solved in the anchor basis Z = [e_j - e_a] of {e'p = 0}, with
     a the first entry of F, through the lower Cholesky factor L of
@@ -418,9 +425,9 @@ def _active_set(spec: ProblemSpec, idx: np.ndarray, start=None) -> tuple[np.ndar
     solve; its pivot is the curvature along the face's new direction, so a
     zero-curvature direction shows there. A drop refactors the smaller face.
     z is zero off F, so the gradient needs only the rows of H on F, each
-    gathered once, when its index is released (O(|idx|*m) for a factor form
-    of rank m). A step costs O(|idx|*|F| + |F|^2), and a drop O(|F|^3) more.
-    idx holds distinct indices.
+    read once, at the start or when its index is released (O(|idx|*m) for a
+    factor form of rank m). A step costs O(|idx|*|F| + |F|^2), and a drop
+    O(|F|^3) more. idx holds distinct indices.
     """
     m = idx.size
     d = 2.0 * spec.cov.diag(idx)
@@ -428,29 +435,22 @@ def _active_set(spec: ProblemSpec, idx: np.ndarray, start=None) -> tuple[np.ndar
     # round-off level of the gradient and of the curvature of M along a unit p
     g_tol = _gradient_tol(d, c)
     curv_tol = _curvature_tol(d)
-    row = spec.cov.row_reader(idx)  # row(j) = A[idx[j], idx]
-    F = np.empty(m, dtype=np.intp)  # free positions in idx, in the order of H's rows
+    rows = spec.cov.row_reader(idx)  # rows(J) = A[idx[J]][:, idx]
+    j = int(np.argmin(0.5 * d - c))
+    vertex = (np.array([j]), np.eye(1, m, j)[0])  # ([j], e_j), the best single-asset vertex
     warm = start is not None
-    if warm:
-        nf = start[0].size
-        F[:nf] = start[0]
-        R = spec.cov.rows(idx[F[:nf]])
-        if not np.array_equal(idx, np.arange(spec.n)):
-            R = R[:, idx]
-        H = 2.0 * R  # grows by doubling from its nf rows
-        L, warm = _starting_face(H, F, nf, curv_tol)
-    if warm:
-        z = np.array(start[1], dtype=float)
-    else:
-        z = np.zeros(m)
-        F[0] = int(np.argmin(0.5 * d - c))
-        z[F[0]] = 1.0
-        H = np.empty((min(m, 16), m))  # row r: row F[r] of H = 2*A_idx; grows by doubling
-        H[0] = 2.0 * row(F[0])
-        L = np.ones((1, 1))
-        nf = 1
+    F = np.empty(m, dtype=np.intp)  # free positions in idx, in the order of H's rows
+    for F0, z0 in (start, vertex) if warm else (vertex,):
+        nf = F0.size
+        F[:nf] = F0
+        H = 2.0 * rows(F[:nf])  # row r: row F[r] of H = 2*A_idx; grows by doubling, 16 rows at least
+        L, usable = _starting_face(H, F, nf, curv_tol)
+        if usable:
+            break
+        warm = False
+    z = np.array(z0, dtype=float)
     pbuf = np.empty(m)  # a release's direction on the face, p = pbuf[:nf]
-    at_face_min = not warm
+    at_face_min = nf == 1  # a vertex is its own face's minimizer
     for steps in range(1, POLISH_STEPS_PER_ASSET * m + 1):
         g = z[F[:nf]] @ H[:nf] - c
         newton = True
@@ -461,9 +461,10 @@ def _active_set(spec: ProblemSpec, idx: np.ndarray, start=None) -> tuple[np.ndar
             if lam[i] >= -g_tol:
                 break
             if nf == H.shape[0]:
-                H = np.vstack((H, np.empty((min(nf, m - nf), m))))
+                H = np.vstack((H, np.empty((min(max(nf, 16), m - nf), m))))
             a = F[0]
-            F[nf], H[nf] = i, 2.0 * row(i)
+            F[nf] = i
+            H[nf:nf + 1] = 2.0 * rows(F[nf:nf + 1])
             w = dtrtrs(L, H[:nf, i] - H[:nf, a] - H[0, i] + H[0, a], lower=1)[0]
             pivot = d[i] - 2.0 * H[0, i] + H[0, a] - w @ w
             # the face's new direction with least curvature (pivot); f falls along it at lam_i
@@ -511,13 +512,15 @@ def _active_set(spec: ProblemSpec, idx: np.ndarray, start=None) -> tuple[np.ndar
 def _support_indices(spec: ProblemSpec, support) -> np.ndarray:
     """A support's sorted distinct indices.
 
-    BadSupport if it is empty, or names an index that is not an integer or
-    lies outside [0, n). An integral float such as 1.0 names asset 1.
+    BadSupport if it is empty, or names an index that is not an integer (a
+    bool or a string included) or lies outside [0, n). A numpy integer names
+    its asset, and so does an integral float: 1.0 names asset 1.
     """
     support = list(support)
-    frac = [float(i) for i in support if not float(i).is_integer()]
-    if frac:
-        raise BadSupport(f"support indices {frac} not integers")
+    odd = [i for i in support
+           if isinstance(i, (bool, np.bool_, str)) or not float(i).is_integer()]
+    if odd:
+        raise BadSupport(f"support indices {odd} not integers")
     idx = np.array(sorted({int(i) for i in support}), dtype=np.intp)
     if not idx.size:
         raise BadSupport("empty support")
@@ -629,9 +632,10 @@ def _dual_start(spec: ProblemSpec) -> tuple[tuple | None, int, str]:
     entry, whose term of q becomes the constraint c_i - G_i nu - beta <= 0;
     when fewer than DUAL_MIN_RELEASABLE multipliers are negative at the best
     single-asset vertex, the kernel's cold start (none: it prices optimal; a
-    few: large tau, a small free set the cold kernel reaches faster); when a
-    line search stalls (an ill-conditioned dual, as for a d far below G G');
-    or when DUAL_STEPS Newton steps do not settle P.
+    few: large tau, a small free set the cold kernel reaches faster), priced
+    from that vertex's row of spec.cov.row_reader; when a line search stalls
+    (an ill-conditioned dual, as for a d far below G G'); or when DUAL_STEPS
+    Newton steps do not settle P.
     """
     cov = spec.cov
     if not cov.factored:
@@ -644,7 +648,7 @@ def _dual_start(spec: ProblemSpec) -> tuple[tuple | None, int, str]:
     # the kernel's first pricing, at its cold start
     h = 2.0 * cov.diag(np.arange(n))
     j = int(np.argmin(0.5 * h - c))
-    g = 2.0 * cov.rows(np.array([j]))[0] - c
+    g = 2.0 * cov.row_reader(np.arange(n))(np.array([j]))[0] - c
     releasable = int(np.count_nonzero(g - g[j] < -_gradient_tol(h, c)))
     if releasable < DUAL_MIN_RELEASABLE:
         return None, 0, f"{releasable} negative multipliers at the best vertex"
@@ -737,9 +741,10 @@ def dense_simplex_minimizer(spec: ProblemSpec) -> np.ndarray:
     proved optimal by the kernel's tests, so a wrong guess costs time only. A
     dense covariance, a d with a zero entry, few negative multipliers at the
     kernel's cold start (large tau), a guess that does not settle, or a
-    starting face singular to round-off starts the kernel cold. One debug
-    event per seed names the start (dual, or cold with the reason), the
-    Newton steps and the kernel steps (0 for a certified dual point).
+    starting face singular to round-off starts the kernel cold, at the best
+    single-asset vertex. One debug event per seed names the start (dual, or
+    cold with the reason), the Newton steps and the kernel steps (0 for a
+    certified dual point).
     """
     start, newton_steps, reason = _dual_start(spec)
     x = None if start is None else _certified_seed(spec, *start)

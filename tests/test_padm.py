@@ -12,6 +12,7 @@ from ccmv import (
     objective_f,
     padm_x_step,
     padm_y_step,
+    validate_problem,
 )
 from ccmv.padm import _project_simplex
 from ccmv.synthetic import random_psd_instance
@@ -116,13 +117,13 @@ def y_step_inputs(draw):
 class TestPadmXStep:
     def test_degenerate_rho_zero_symmetric(self):
         spec = ProblemSpec(np.eye(2), np.zeros(2), tau=1e-300, k=2)
-        x = padm_x_step(spec, 1e-12, np.zeros(2))
+        x = padm_x_step(spec, 1e-12, np.zeros(2), validate_problem(spec))
         np.testing.assert_allclose(x, [0.5, 0.5], atol=1e-6)
 
     def test_large_rho_snaps_to_feasible_y(self):
         spec = random_psd_instance(n=4, k=2, seed=0)
         y = np.array([0.7, 0.3, 0.0, 0.0])
-        x = padm_x_step(spec, 1e6, y, tol=1e-12)
+        x = padm_x_step(spec, 1e6, y, validate_problem(spec), tol=1e-12)
         np.testing.assert_allclose(x, y, atol=1e-4)
 
     def test_stays_on_simplex(self):
@@ -130,7 +131,7 @@ class TestPadmXStep:
         for seed in range(10):
             spec = random_psd_instance(n=6, k=3, seed=seed)
             y = padm_y_step(rng.normal(size=6), 3)
-            x = padm_x_step(spec, float(rng.uniform(0.5, 5.0)), y)
+            x = padm_x_step(spec, float(rng.uniform(0.5, 5.0)), y, validate_problem(spec))
             assert abs(x.sum() - 1.0) <= 1e-8
             assert x.min() >= 0.0
 
@@ -140,7 +141,7 @@ class TestPadmXStep:
             spec = random_psd_instance(n=4, k=2, seed=seed)
             y = padm_y_step(rng.normal(size=4), 2)
             rho = float(rng.uniform(0.2, 2.0))
-            x = padm_x_step(spec, rho, y, tol=1e-12)
+            x = padm_x_step(spec, rho, y, validate_problem(spec), tol=1e-12)
             _, v_star = x_step_oracle(spec, rho, y)
             assert l1_objective(spec, rho, x, y) <= v_star + 1e-5
 

@@ -84,7 +84,7 @@ class TestFactorization:
             spec = random_psd_instance(n=6, k=2, seed=seed)
             rho = float(rng.uniform(0.5, 5.0))
             fact = build_factorization(spec, rho)
-            X = fact.solve(np.eye(6))  # rows of (A + rho I)^{-1}
+            X = fact.level.solve(np.eye(6))  # rows of (A + rho I)^{-1}
             np.testing.assert_allclose(X @ (spec.A + rho * np.eye(6)), np.eye(6), atol=1e-8)
 
 
@@ -647,6 +647,19 @@ class TestWarmStart:
         if not warm:
             np.testing.assert_array_equal(x, x_cold)
 
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(warm_starts())
+    def test_no_start_is_the_best_vertex_as_a_start(self, case):
+        # a missing start is the best single-asset vertex ([j], e_j), set up as a given one
+        spec, idx, _ = case
+        j = int(np.argmin(spec.cov.diag(idx) - spec.tau * spec.mu[idx]))
+        e_j = np.zeros(idx.size)
+        e_j[j] = 1.0
+        x, steps, warm = pd._active_set(spec, idx)
+        x_v, steps_v, warm_v = pd._active_set(spec, idx, (np.array([j]), e_j))
+        assert not warm and warm_v
+        assert np.array_equal(x_v, x) and steps_v == steps
+
     def test_singular_starting_face_starts_cold(self):
         # assets 0 and 4 are the same asset: a face holding both has a flat direction
         spec = random_psd_instance(n=6, k=6, seed=3)
@@ -874,7 +887,11 @@ class TestSupportIndices:
         (lambda n: (0, 0, 1), None),
         (lambda n: (0.5, 1), "[0.5] not integers"),
         (lambda n: (np.int64(0), 1.0), None),
-    ], ids=["minus-one", "n", "zero-and-n", "repeated", "half", "numpy-int-and-integral-float"])
+        (lambda n: (True, 1), "[True] not integers"),
+        (lambda n: (np.True_, 1), f"[{np.True_!r}] not integers"),
+        (lambda n: (0, "2"), "['2'] not integers"),
+    ], ids=["minus-one", "n", "zero-and-n", "repeated", "half", "numpy-int-and-integral-float",
+            "bool", "numpy-bool", "str"])
     def test_out_of_range_rejected_and_repeat_counted_once(self, check, make, bad):
         spec = random_psd_instance(n=7, k=3, seed=2)
         support = make(spec.n)
