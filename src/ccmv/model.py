@@ -483,6 +483,7 @@ class Solution:
     safeguard_resets: int = 0
     wall_time: float = 0.0
     upsilon: float = float("nan")
+    lower_bound: float = float("nan")  # f(seed), below f on every k-sparse point; NaN if not known
 
     @property
     def kkt_residual(self) -> float:

@@ -122,13 +122,18 @@ def padm_y_step(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def ccmv_padm_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solution:
-    """Outer penalty schedule around the l1 block steps; polish and certify."""
+    """Outer penalty schedule around the l1 block steps; polish and certify.
+
+    The seed, as in ccmv_pd_solve, is the exact minimizer of f over the whole
+    simplex, and f(seed) is the Solution's lower_bound.
+    """
     t0 = time.perf_counter()
     cfg = cfg or SolverConfig()
     lam_max = validate_problem(spec)
 
     rho = cfg.rho0
     x = pd.dense_simplex_minimizer(spec)
+    lower_bound = objective_f(spec, x)
     y = padm_y_step(x, spec.k)
 
     trace: list[OuterRecord] = []
@@ -163,4 +168,5 @@ def ccmv_padm_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solut
         trace=trace,
         solver="padm",
         wall_time=time.perf_counter() - t0,
+        lower_bound=lower_bound,
     )

@@ -6,7 +6,10 @@ covariance in factor form with d > 0, Newton steps on the seed's dual, which
 has m + 1 variables, find its free set and a point on it; when that point
 passes the kernel's own optimality tests (one product with A), it is the
 seed and the kernel does not run, else the kernel starts there. Any other
-covariance starts the kernel cold. Inner loop: block coordinate descent
+covariance starts the kernel cold. A seed with at most k nonzeros is
+feasible, and so globally optimal: the polish of its support is the answer,
+returned before any penalty level. Otherwise penalty_loop runs the levels
+from the seed's top-k. Inner loop: block coordinate descent
 alternating a closed-form solve over the budget hyperplane {e'x = 1} with a
 clamp-and-keep-top-k thresholding step; every iteration's q_rho(x, y) is
 one penalty_q, checked non-increasing. Once the support S of y stops
@@ -29,8 +32,8 @@ support's block O(k*m^2). A level keeps no state from one solve to the
 next. It is prepared only when it runs; its first x-step, taken for upsilon
 or for the safeguard's probe, is also the descent's first and is not
 repeated.
-The discovered support and the seed's support (once, when they are the
-same) are then polished by the same finite primal active-set solve of the
+The seed's support (always) and the discovered support (when it differs)
+are polished by the same finite primal active-set solve of the
 convex QP restricted to a support (exact for any support size), which keeps
 a Cholesky factor of its reduced Hessian and extends it by one row as an
 index enters; the final support's polish starts from the last y, the
@@ -284,7 +287,7 @@ def bcd_inner(
 
     x0, if given, must be x_step(fact, y0), which the caller has already
     computed; it is taken as the first iteration's x-step rather than solved
-    again. ccmv_pd_solve passes each level's first x-step this way.
+    again. penalty_loop passes each level's first x-step this way.
 
     Once an iteration leaves the support S of y unchanged, the next one takes
     the saddle point of the level restricted to S (_saddle_point): the BCD
@@ -765,41 +768,28 @@ def _log_level(rec: OuterRecord) -> None:
               rec.rho, rec.inner_iters, rec.jumps, rec.q, rec.infeas, rec.note)
 
 
-def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solution:
-    """Full penalty-decomposition solve: schedule, safeguard, polish, certify.
+def penalty_loop(spec: ProblemSpec, y: np.ndarray, x_feas: np.ndarray, lam_max: float,
+                 cfg: SolverConfig) -> tuple[np.ndarray, list[OuterRecord], float, int]:
+    """The penalty levels from the seed's top-k y: (last y, trace, upsilon, safeguard resets).
 
-    Each penalty level is one pass of the loop: its solves, its first x-step
-    x0 and q0 = q_rho(x0, y), which sets upsilon = max(f(x_feas), q0) on the
-    first level and is the safeguard's probe on later ones (q0 > upsilon
-    restarts the level from x_feas), then bcd_inner and the level's
-    OuterRecord, logged as one debug event once the next probe settles its note.
-
-    Returns the better of the polished final support and the polished top-k
-    of the exact dense seed (the final polish on a tie). When the two are the
-    same support, the seed's polish is the answer and no second polish runs.
-    The final support's polish starts warm from the last y. The seed's starts
-    cold, so it is bit for bit polish_support(spec, top-k of the seed): a warm
-    start can move the last bit of f, and the answer could then trail that
-    independent polish.
+    rho starts at cfg.rho0, raised to the floor lambda_max + 1 (lam_max as
+    validate_problem returns it) when below it, which the first level's note
+    records. Each penalty level is one pass of the loop: its solves, its
+    first x-step x0 and q0 = q_rho(x0, y), which sets
+    upsilon = max(f(x_feas), q0) on the first level and is the safeguard's
+    probe on later ones (q0 > upsilon restarts the level from the feasible
+    point x_feas), then bcd_inner and the level's OuterRecord, logged as one
+    "pd level:" debug event once the next probe settles its note. The loop
+    ends when a level's |x - y| is within cfg.eps_outer or after
+    cfg.max_outer levels; rho grows by cfg.zeta between levels.
     """
-    t0 = time.perf_counter()
-    cfg = cfg or SolverConfig()
-    lam_max = validate_problem(spec)
-
     trace: list[OuterRecord] = []
     rho = cfg.rho0
-    rho_floor = lam_max + 1.0
     raised_note = ""
-    if rho < rho_floor:
-        rho = rho_floor
+    if rho < lam_max + 1.0:
+        rho = lam_max + 1.0
         raised_note = f"rho0 raised to lambda_max+1 = {rho:.6g}"
         log.info(raised_note)
-
-    x_feas = make_feasible_point(spec)
-    y = y_step(dense_simplex_minimizer(spec), spec.k)
-    seed_support = np.flatnonzero(y)
-    incumbent = polish_support(spec, seed_support)
-
     safeguard_resets = 0
     for j in range(cfg.max_outer):
         fact = build_factorization(spec, rho)
@@ -821,14 +811,57 @@ def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solutio
             break
         rho *= cfg.zeta
     _log_level(trace[-1])
+    return y, trace, upsilon, safeguard_resets
 
-    final_support = np.flatnonzero(y)
-    if np.array_equal(final_support, seed_support):
-        weights, objective = incumbent  # the same support's polish
+
+def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solution:
+    """Full penalty-decomposition solve: seed, certified exit or penalty loop, polish, certify.
+
+    The seed is the exact minimizer of f over the whole simplex, and its
+    top-k support is polished cold, so that polish is bit for bit
+    polish_support(spec, top-k of the seed). f(seed) bounds f from below on
+    the feasible set, whatever k, and is the Solution's lower_bound.
+
+    When the seed has at most k nonzeros it is feasible, and so a global
+    minimizer: the polish of its support reaches the same f, and is returned
+    at once, with status converged, an empty trace, upsilon = f(x_feas) and
+    one "pd exit:" debug event. No penalty level is built.
+
+    Otherwise penalty_loop runs the levels from the seed's top-k, and the
+    result is the better of the polished final support and the seed's polish
+    (the final polish on a tie). When the two are the same support, the
+    seed's polish is the answer and no second polish runs. The final
+    support's polish starts warm from the last y: a warm start can move the
+    last bit of f, and the answer could then trail the seed's independent
+    polish.
+    """
+    t0 = time.perf_counter()
+    cfg = cfg or SolverConfig()
+    lam_max = validate_problem(spec)
+
+    x_feas = make_feasible_point(spec)
+    seed = dense_simplex_minimizer(spec)
+    lower_bound = objective_f(spec, seed)
+    y = y_step(seed, spec.k)
+    seed_support = np.flatnonzero(y)
+    incumbent = polish_support(spec, seed_support)
+
+    nonzeros = np.count_nonzero(seed)
+    if nonzeros <= spec.k:  # the seed is feasible, hence globally optimal
+        log.debug("pd exit: seed has %d <= k = %d nonzeros", nonzeros, spec.k)
+        weights, objective = incumbent
+        trace, upsilon, safeguard_resets = [], objective_f(spec, x_feas), 0
+        status = STATUS_CONVERGED
     else:
-        weights, objective = polish_support(spec, final_support, y)
-        if incumbent[1] < objective:
-            weights, objective = incumbent
+        y, trace, upsilon, safeguard_resets = penalty_loop(spec, y, x_feas, lam_max, cfg)
+        final_support = np.flatnonzero(y)
+        if np.array_equal(final_support, seed_support):
+            weights, objective = incumbent  # the same support's polish
+        else:
+            weights, objective = polish_support(spec, final_support, y)
+            if incumbent[1] < objective:
+                weights, objective = incumbent
+        status = STATUS_CONVERGED if trace[-1].infeas <= cfg.eps_outer else STATUS_MAX_ITERATIONS
     support = tuple(int(i) for i in np.flatnonzero(weights != 0.0))
     cert = kkt_check(spec, weights, support)
     return Solution(
@@ -836,10 +869,11 @@ def ccmv_pd_solve(spec: ProblemSpec, cfg: SolverConfig | None = None) -> Solutio
         support=support,
         objective=objective,
         kkt=cert,
-        status=STATUS_CONVERGED if trace[-1].infeas <= cfg.eps_outer else STATUS_MAX_ITERATIONS,
+        status=status,
         trace=trace,
         solver="pd",
         safeguard_resets=safeguard_resets,
         wall_time=time.perf_counter() - t0,
         upsilon=upsilon,
+        lower_bound=lower_bound,
     )

@@ -155,13 +155,16 @@ KKT_KEYS = {"beta": "beta", "stationarity_residual": "stationarity",
             "dual_feasibility_violation": "dual_violation",
             "complementarity_residual": "complementarity"}
 
+# Solution's float fields that may be NaN (not known), written as null and read back as NaN
+NULLABLE = ("upsilon", "lower_bound")
+
 # OuterRecord's fields, in order, are the trace-CSV columns and a trace level's JSON
 # keys; a field without a default is always written, any other only when it differs from it
 TRACE_FIELDS = fields(OuterRecord)
 
 
 def solution_to_dict(sol: Solution) -> dict:
-    """The Solution JSON object; a NaN upsilon is written as null."""
+    """The Solution JSON object; a NaN upsilon or lower_bound is written as null."""
     d = {
         "weights": [float(w) for w in sol.weights],
         "support": [int(i) for i in sol.support],
@@ -173,7 +176,7 @@ def solution_to_dict(sol: Solution) -> dict:
                    if f.default is MISSING or getattr(r, f.name) != f.default} for r in sol.trace],
         "solver": sol.solver,
         "wall_time": float(sol.wall_time),
-        "upsilon": None if np.isnan(sol.upsilon) else float(sol.upsilon),
+        **{key: None if np.isnan(getattr(sol, key)) else float(getattr(sol, key)) for key in NULLABLE},
     }
     if sol.safeguard_resets:
         d["safeguard_resets"] = sol.safeguard_resets
@@ -211,7 +214,8 @@ def solution_from_dict(raw: dict) -> Solution:
     optional = {key: _scalar(raw, key, kind, "solution")
                 for key, kind in (("solver", "str"), ("safeguard_resets", "int"), ("wall_time", "float"))
                 if key in raw}
-    upsilon = raw.get("upsilon")
+    nullable = {key: float("nan") if raw.get(key) is None else _scalar(raw, key, "float", "solution")
+                for key in NULLABLE}
     return Solution(
         weights=weights,
         support=support,
@@ -219,7 +223,7 @@ def solution_from_dict(raw: dict) -> Solution:
         kkt=kkt,
         status=_scalar(raw, "status", "str", "solution"),
         trace=levels,
-        upsilon=float("nan") if upsilon is None else _scalar(raw, "upsilon", "float", "solution"),
+        **nullable,
         **optional,
     )
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ccmv import ProblemSpec, objective_f
-from ccmv.pd import polish_support
+from ccmv import ProblemSpec, SolverConfig, make_feasible_point, objective_f, validate_problem, y_step
+from ccmv.pd import dense_simplex_minimizer, penalty_loop, polish_support
 
 
 def assert_feasible(spec, weights, support, k=None):
@@ -98,6 +98,16 @@ def degenerate_specs(draw, max_n):
         mu[:] = mu[0]
     A = G @ G.T / rank  # no ridge: rank-deficient whenever rank < n
     return ProblemSpec(0.5 * (A + A.T), mu, tau=tau, k=n)
+
+
+def penalty_path(spec, cfg=None):
+    """penalty_loop's (y, trace, upsilon, safeguard_resets) from the seed's top-k, as ccmv_pd_solve starts it.
+
+    ccmv_pd_solve skips the loop when the seed has at most k nonzeros; this
+    runs it anyway, for tests of the per-level path on any instance.
+    """
+    y = y_step(dense_simplex_minimizer(spec), spec.k)
+    return penalty_loop(spec, y, make_feasible_point(spec), validate_problem(spec), cfg or SolverConfig())
 
 
 def dense(spec):

@@ -35,7 +35,7 @@ from ccmv.synthetic import (
     random_psd_instance,
 )
 
-from conftest import assert_feasible, degenerate_specs, dense, enumerate_restricted_qp
+from conftest import assert_feasible, degenerate_specs, dense, enumerate_restricted_qp, penalty_path
 
 
 def restricted_kkt_solve(spec, rho, support):
@@ -389,10 +389,11 @@ class TestJump:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_rank_deficient_window_needs_few_iterations(self, seed):
-        # the backtest's instance type: 100 assets, 60 periods, k = 10
-        sol = ccmv_pd_solve(monthly_returns_instance(100, 10, seed=seed))
-        assert sum(r.jumps for r in sol.trace) >= 1
-        assert sum(r.inner_iters for r in sol.trace) <= 50
+        # the backtest's instance type: 100 assets, 60 periods, k = 10; its
+        # seed is k-sparse, so ccmv_pd_solve skips the loop and it runs here
+        trace = penalty_path(monthly_returns_instance(100, 10, seed=seed))[1]
+        assert sum(r.jumps for r in trace) >= 1
+        assert sum(r.inner_iters for r in trace) <= 50
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(degenerate_levels())
@@ -571,18 +572,17 @@ def degenerate_supports(draw):
 
 class TestActiveSetKernel:
     def test_runs_without_eigh_or_qr(self, monkeypatch):
-        # the kernel and the jump factor by Cholesky alone; PD (seed, BCD,
-        # polish), padm (seed, polish) and the oracle (a kernel solve per
-        # support) must complete without either routine
+        # the kernel and the jump factor by Cholesky alone; PD (seed, polish),
+        # its penalty loop, padm (seed, polish) and the oracle (a kernel solve
+        # per support) must complete without either routine
         def forbidden(*args, **kwargs):
             raise AssertionError("np.linalg.eigh / np.linalg.qr called")
 
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
         monkeypatch.setattr(np.linalg, "qr", forbidden)
         for spec in (factor_model_instance(226, 10, seed=0), monthly_returns_instance(100, 10, seed=0)):
-            sol = ccmv_pd_solve(spec)
-            assert sum(r.jumps for r in sol.trace) >= 1
-            assert sol.kkt_residual <= 1e-8
+            assert ccmv_pd_solve(spec).kkt_residual <= 1e-8
+            assert sum(r.jumps for r in penalty_path(spec)[1]) >= 1
         assert ccmv_padm_solve(factor_model_instance(226, 10, seed=0)).kkt_residual <= 1e-8
         spec = factor_model_instance(8, 3, seed=0)
         res = brute_force_solve(spec)
@@ -1013,10 +1013,10 @@ class TestCcmvPdSolve:
         resets = 0
         for spec in specs:
             calls.clear()
-            sol = ccmv_pd_solve(spec)
-            assert sol.status == STATUS_CONVERGED
-            resets += sol.safeguard_resets
-            assert len(calls) == sum(r.inner_iters - r.jumps for r in sol.trace) + sol.safeguard_resets
+            _, trace, _, safeguard_resets = penalty_path(spec)
+            assert trace[-1].infeas <= SolverConfig().eps_outer
+            resets += safeguard_resets
+            assert len(calls) == sum(r.inner_iters - r.jumps for r in trace) + safeguard_resets
         assert resets >= 1
 
     @pytest.mark.parametrize("max_outer", [1, 2])
@@ -1034,13 +1034,14 @@ class TestCcmvPdSolve:
         specs = ([factor_model_instance(226, 10, seed=seed) for seed in range(5)]
                  + [monthly_returns_instance(100, 10, seed=seed) for seed in range(10)])
         capped = 0
+        cfg = SolverConfig(max_outer=max_outer)
         for spec in specs:
             rhos.clear()
-            sol = ccmv_pd_solve(spec, SolverConfig(max_outer=max_outer))
-            assert rhos == [r.rho for r in sol.trace]
-            assert "safeguard reset" not in sol.trace[-1].note
-            assert sol.safeguard_resets == sum("safeguard reset" in r.note for r in sol.trace)
-            capped += sol.status != STATUS_CONVERGED
+            _, trace, _, safeguard_resets = penalty_path(spec, cfg)
+            assert rhos == [r.rho for r in trace]
+            assert "safeguard reset" not in trace[-1].note
+            assert safeguard_resets == sum("safeguard reset" in r.note for r in trace)
+            capped += trace[-1].infeas > cfg.eps_outer
         assert capped >= 1
 
     def test_converged_infeasibility(self):
@@ -1077,10 +1078,14 @@ class TestCcmvPdSolve:
         spec = self.INSTANCES[kind](seed)
         support, f, iters, jumps = self.REFERENCE_PATHS[kind, seed]
         sol = ccmv_pd_solve(spec)
+        trace = penalty_path(spec)[1]
         assert sol.support == support
         assert abs(sol.objective - f) <= 1e-10 * (1.0 + abs(f))
-        assert tuple(r.inner_iters for r in sol.trace) == iters
-        assert tuple(r.jumps for r in sol.trace) == jumps
+        assert tuple(r.inner_iters for r in trace) == iters
+        assert tuple(r.jumps for r in trace) == jumps
+        # the monthly seeds are k-sparse, so ccmv_pd_solve exits before the
+        # loop; the factor seeds are not, and it builds the same levels
+        assert sol.trace == ([] if kind == "monthly" else trace)
 
     # factor_model_instance gives the factor form; the same paths in the dense form
     @pytest.mark.parametrize("kind, seed", sorted(k for k in REFERENCE_PATHS if k[0].startswith("factor")))
@@ -1101,13 +1106,13 @@ class TestCcmvPdSolve:
     def test_one_debug_event_per_level(self, make, caplog):
         spec = make()
         with caplog.at_level(logging.DEBUG, logger="ccmv"):
-            sol = ccmv_pd_solve(spec)
+            trace = penalty_path(spec)[1]
         pattern = re.compile(r"pd level: rho=(\S+) inner_iters=(\d+) jumps=(\d+) "
                              r"q=(\S+) infeas=(\S+) note=(.*)")
         events = [pattern.fullmatch(r.getMessage()) for r in caplog.records
                   if r.getMessage().startswith("pd level:")]
-        assert len(events) == len(sol.trace) >= 2
-        for event, rec in zip(events, sol.trace):
+        assert len(events) == len(trace) >= 2
+        for event, rec in zip(events, trace):
             rho, iters, jumps, q, infeas, note = event.groups()
             assert (float(rho), int(iters), int(jumps), float(q), float(infeas), note) == (
                 rec.rho, rec.inner_iters, rec.jumps, rec.q, rec.infeas, rec.note)
@@ -1125,3 +1130,103 @@ class TestCcmvPdSolve:
         assert set(d) >= {"weights", "support", "objective", "kkt", "status", "trace"}
         assert set(d["kkt"]) == {"beta", "stationarity", "dual_violation", "complementarity"}
         assert all({"rho", "inner_iters", "q", "infeas"} <= set(r) for r in d["trace"])
+
+
+def _exit_cases():
+    """Instances whose seed is k-sparse and instances whose seed is not.
+
+    The backtest's windows (monthly_returns_instance(100, 10): every seed
+    k-sparse), k = n, and the sandwich's factor_model_instance(10, 4 or 5),
+    about a quarter of whose seeds are k-sparse.
+    """
+    return ([monthly_returns_instance(100, 10, seed=seed) for seed in range(20)]
+            + [random_psd_instance(n=6, k=6, seed=seed) for seed in range(5)]
+            + [factor_model_instance(10, k, seed=seed) for k in (4, 5) for seed in range(20)])
+
+
+def _seed_is_k_sparse(spec):
+    return np.count_nonzero(dense_simplex_minimizer(spec)) <= spec.k
+
+
+class TestSeedExit:
+    def test_taken_exactly_when_the_seed_is_k_sparse(self, monkeypatch):
+        builds = []
+        build = pd.build_factorization
+
+        def recording_build(spec, rho):
+            builds.append(rho)
+            return build(spec, rho)
+
+        monkeypatch.setattr(pd, "build_factorization", recording_build)
+        cases = _exit_cases()
+        exits = 0
+        for case, spec in enumerate(cases):
+            builds.clear()
+            sparse = _seed_is_k_sparse(spec)
+            sol = ccmv_pd_solve(spec)
+            assert (not builds) == sparse, case
+            assert len(sol.trace) == len(builds), case
+            exits += sparse
+        assert 25 < exits < len(cases)  # every monthly and k = n case, not every sandwich
+
+    def test_returns_the_seeds_polish(self):
+        for spec in filter(_seed_is_k_sparse, _exit_cases()):
+            seed = dense_simplex_minimizer(spec)
+            x, f = polish_support(spec, np.flatnonzero(seed))
+            sol = ccmv_pd_solve(spec)
+            assert sol.weights.tobytes() == x.tobytes()
+            assert sol.objective == f
+            assert sol.kkt_residual <= 1e-8
+            assert (sol.status, sol.trace, sol.safeguard_resets) == (STATUS_CONVERGED, [], 0)
+            assert sol.upsilon == objective_f(spec, make_feasible_point(spec))
+            # the relaxation's minimum, reached: the certificate of global optimality
+            assert sol.lower_bound == objective_f(spec, seed)
+            assert abs(sol.objective - sol.lower_bound) <= 1e-14 * (1.0 + abs(f))
+
+    def test_global_optimum_on_sandwich_instances(self):
+        solved = 0
+        for k in (4, 5):
+            for seed in range(40):
+                spec = factor_model_instance(10, k, seed=seed)
+                if not _seed_is_k_sparse(spec):
+                    continue
+                f_opt = brute_force_solve(spec).objective
+                assert abs(ccmv_pd_solve(spec).objective - f_opt) <= 1e-12 * (1.0 + abs(f_opt)), (k, seed)
+                solved += 1
+        assert solved >= 10
+
+    @pytest.mark.parametrize("make", [
+        lambda: factor_model_instance(226, 10),
+        lambda: monthly_returns_instance(100, 10),
+    ], ids=["levels", "exit"])
+    def test_one_exit_event_and_no_level_event(self, make, caplog):
+        spec = make()
+        nonzeros = np.count_nonzero(dense_simplex_minimizer(spec))
+        with caplog.at_level(logging.DEBUG, logger="ccmv"):
+            sol = ccmv_pd_solve(spec)
+        messages = [r.getMessage() for r in caplog.records]
+        exits = [m for m in messages if m.startswith("pd exit:")]
+        levels = [m for m in messages if m.startswith("pd level:")]
+        if nonzeros <= spec.k:
+            assert exits == [f"pd exit: seed has {nonzeros} <= k = {spec.k} nonzeros"]
+            assert levels == []
+        else:
+            assert exits == []
+            assert len(levels) == len(sol.trace) >= 1
+
+
+class TestLowerBound:
+    @pytest.mark.parametrize("solve", [ccmv_pd_solve, ccmv_padm_solve], ids=["pd", "padm"])
+    @pytest.mark.parametrize("make", [
+        lambda: factor_model_instance(226, 10, seed=0),
+        lambda: factor_model_instance(226, 3, seed=1),
+        lambda: monthly_returns_instance(100, 10, seed=0),
+    ], ids=["factor", "binding", "monthly"])
+    def test_f_of_the_seed_below_the_objective(self, solve, make):
+        spec = make()
+        sol = solve(spec)
+        assert sol.lower_bound == objective_f(spec, dense_simplex_minimizer(spec))
+        assert sol.lower_bound <= sol.objective + 1e-14 * (1.0 + abs(sol.objective))
+
+    def test_oracle_leaves_it_unknown(self):
+        assert np.isnan(brute_force_solve(factor_model_instance(10, 4, seed=0)).to_solution().lower_bound)

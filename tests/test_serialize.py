@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from dataclasses import astuple, fields
 
@@ -21,7 +22,7 @@ from ccmv.serialize import (
 )
 from ccmv.synthetic import factor_model_instance, monthly_returns_instance, random_psd_instance
 
-from conftest import dense
+from conftest import dense, penalty_path
 
 
 class TestReturnsCsv:
@@ -147,17 +148,28 @@ def _oracle_solve(spec):
     return brute_force_solve(spec).to_solution()
 
 
+def _pd_solve_with_levels(spec):
+    """ccmv_pd_solve's Solution with penalty_loop's trace, for an instance whose seed is k-sparse.
+
+    ccmv_pd_solve returns such an instance's answer before any penalty level.
+    """
+    return dataclasses.replace(ccmv_pd_solve(spec), trace=penalty_path(spec)[1])
+
+
 class TestSolutionJson:
     @pytest.mark.parametrize("solve, spec, exercised", [
-        (ccmv_pd_solve, lambda: monthly_returns_instance(100, 10, seed=0), "jumps"),
+        (_pd_solve_with_levels, lambda: monthly_returns_instance(100, 10, seed=0), "jumps"),
         (ccmv_pd_solve, lambda: factor_model_instance(10, 1, seed=4), "safeguard_resets"),
+        (ccmv_pd_solve, lambda: monthly_returns_instance(100, 10, seed=0), "exit"),
         (ccmv_padm_solve, lambda: factor_model_instance(10, 4, seed=0), None),
         (_oracle_solve, lambda: factor_model_instance(10, 4, seed=0), None),
-    ], ids=["pd-jumps", "pd-resets", "padm", "oracle"])
+    ], ids=["pd-jumps", "pd-resets", "pd-exit", "padm", "oracle"])
     def test_every_field_roundtrips(self, tmp_path, solve, spec, exercised):
         sol = solve(spec())
         if exercised == "safeguard_resets":
             assert sol.safeguard_resets > 0
+        elif exercised == "exit":
+            assert sol.trace == [] and sol.lower_bound == pytest.approx(sol.objective, rel=1e-14)
         elif exercised:
             assert any(getattr(r, exercised) for r in sol.trace)
         path = tmp_path / "sol.json"
@@ -167,8 +179,10 @@ class TestSolutionJson:
         assert back.support == tuple(sol.support)
         assert (back.objective, back.status, back.solver) == (sol.objective, sol.status, sol.solver)
         assert back.wall_time == sol.wall_time > 0.0
-        assert (json.loads(path.read_text())["upsilon"] is None) == np.isnan(sol.upsilon)
-        assert back.upsilon == sol.upsilon or np.isnan(back.upsilon) and np.isnan(sol.upsilon)
+        for key in ("upsilon", "lower_bound"):
+            value, read = getattr(sol, key), getattr(back, key)
+            assert (json.loads(path.read_text())[key] is None) == np.isnan(value)
+            assert read == value or np.isnan(read) and np.isnan(value)
         assert back.safeguard_resets == sol.safeguard_resets
         assert [astuple(r) for r in back.trace] == [astuple(r) for r in sol.trace]
         if sol.kkt is None:
@@ -206,13 +220,19 @@ class TestSolutionJson:
         assert back.wall_time == sol.wall_time
 
     def test_jumps_roundtrip(self):
-        sol = ccmv_pd_solve(monthly_returns_instance(100, 10, seed=0))
+        sol = _pd_solve_with_levels(monthly_returns_instance(100, 10, seed=0))
         jumps = [r.jumps for r in sol.trace]
         assert any(jumps)
         raw = json.loads(solution_to_json(sol))
         # written only for a level that jumped, as note is written only when set
         assert ["jumps" in r for r in raw["trace"]] == [j > 0 for j in jumps]
         assert [r.jumps for r in solution_from_dict(raw).trace] == jumps
+
+    def test_file_without_lower_bound_reads_nan(self):
+        # files written before Solution carried lower_bound
+        raw = json.loads(solution_to_json(ccmv_pd_solve(random_psd_instance(n=5, k=2, seed=7))))
+        del raw["lower_bound"]
+        assert np.isnan(solution_from_dict(raw).lower_bound)
 
     def test_older_solve_steps_key_is_read_past(self, tmp_path):
         # files written while a dense n = 1000 solve served its penalty levels by
@@ -239,8 +259,9 @@ class TestSolutionJson:
          "beta"),
         ({"trace": [{"rho": 1.0, "inner_iters": "3", "q": 0.0, "infeas": 0.0}]}, "inner_iters"),
         ({"wall_time": [1.0]}, "wall_time"),
+        ({"lower_bound": "-0.1"}, "lower_bound"),
     ], ids=["string-weights", "matrix-weights", "fractional-support", "string-objective",
-            "numeric-status", "string-kkt", "string-trace", "list-wall-time"])
+            "numeric-status", "string-kkt", "string-trace", "list-wall-time", "string-lower-bound"])
     def test_malformed_value_names_its_key(self, change, key):
         raw = {"weights": [1.0, 0.0], "support": [0], "objective": 0.5, "kkt": None,
                "status": "converged", **change}
